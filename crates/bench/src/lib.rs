@@ -18,8 +18,8 @@
 //! | E10 | ablations of `β` (rounding) and `η` (fractional update) |
 //!
 //! Run them with `cargo run -p wmlp-bench --release --bin experiments --
-//! all` (or a list of ids). Criterion throughput benchmarks live in
-//! `benches/`.
+//! all` (or a list of ids). The timing grid (B1–B8, `BENCH.json`) is the
+//! `perf` binary; see [`perf`].
 
 #![warn(missing_docs)]
 

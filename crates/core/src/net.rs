@@ -1,9 +1,9 @@
 //! Dependency-free readiness I/O: a thin, audited wrapper over Linux
 //! `epoll(7)`, `eventfd(2)`, and `fcntl(2)`.
 //!
-//! The serving stack's event-driven connection plane (`wmlp-serve
-//! --io-mode epoll`) and the load generator's high-fan-in client both
-//! need readiness notification, but the workspace policy is "no external
+//! The serving stack's event loops (`wmlp-serve`) and the load
+//! generator's client engine (`wmlp-loadgen`) both need readiness
+//! notification, but the workspace policy is "no external
 //! crates". std already links glibc on Linux, so this module declares the
 //! five syscall wrappers it needs via `extern "C"` and exposes a safe,
 //! minimal surface:

@@ -1,14 +1,14 @@
 //! # wmlp-loadgen — load generator for `wmlp-serve`
 //!
 //! Replays seeded `wmlp-workloads` traces against a server over real
-//! sockets — closed-loop, pipelined (a bounded window of requests in
-//! flight per connection), open-loop against an arrival schedule with
-//! coordinated-omission-corrected latency, or high-fan-in
-//! (`--connections N`: thousands of pipelined connections multiplexed
-//! over a few event-driven client threads) — measures per-request
-//! latency into the log-bucketed [`wmlp_sim::Histogram`], and emits a
-//! schema-documented SERVE.json report ([`report`]), optionally with a
-//! throughput-vs-p99 sweep across offered rates.
+//! sockets with one client engine: `--conns N` connections multiplexed
+//! over a few event-driven client threads, each connection closed-loop
+//! (window 1), pipelined (a bounded window of requests in flight), or
+//! paced by an open-loop arrival schedule with coordinated-omission-
+//! corrected latency. It measures per-request latency into the
+//! log-bucketed [`wmlp_sim::Histogram`] and emits a schema-documented
+//! SERVE.json report ([`report`]), optionally with a throughput-vs-p99
+//! sweep across offered rates.
 //!
 //! The request stream is fully deterministic (instance tuple, workload,
 //! seed); only the measured latencies and throughput are
@@ -18,7 +18,7 @@
 #![warn(missing_docs)]
 
 pub mod client;
-mod fanin;
+mod engine;
 pub mod report;
 pub mod timing;
 
@@ -26,7 +26,7 @@ use std::net::SocketAddr;
 use std::sync::Arc;
 
 use wmlp_core::instance::{MlInstance, Request};
-use wmlp_serve::server::{start, IoMode, ServeConfig, ServerHandle};
+use wmlp_serve::server::{start, ServeConfig, ServerHandle};
 use wmlp_sim::Histogram;
 use wmlp_workloads::{cyclic_trace, zipf_trace, LevelDist};
 
@@ -96,7 +96,10 @@ pub struct LoadgenConfig {
     /// Server to target, or `None` to spawn an in-process server on a
     /// loopback port (it still serves over a real socket).
     pub addr: Option<SocketAddr>,
-    /// Concurrent closed-loop connections (≥ 1).
+    /// Concurrent connections (≥ 1), multiplexed over
+    /// [`LoadgenConfig::client_threads`] client threads. Each costs a file
+    /// descriptor (two with a spawned server), checked against
+    /// `RLIMIT_NOFILE` up front.
     pub conns: usize,
     /// Total requests across all connections.
     pub requests: usize,
@@ -129,17 +132,8 @@ pub struct LoadgenConfig {
     /// Per-connection in-flight window; 1 = classic closed-loop, > 1 =
     /// pipelined.
     pub pipeline: usize,
-    /// High-fan-in mode: when > 0, open this many pipelined connections
-    /// multiplexed over [`LoadgenConfig::client_threads`] event-driven
-    /// client threads instead of a thread per connection (`--conns` is
-    /// ignored). Requires enough file descriptors — checked against
-    /// `RLIMIT_NOFILE` up front — and excludes `--rate`/`--sweep`.
-    pub connections: usize,
-    /// Event-driven client threads in fan-in mode (≥ 1).
+    /// Event-driven client threads the connections are dealt across (≥ 1).
     pub client_threads: usize,
-    /// Connection plane for a spawned server: `"threads"` or `"epoll"`
-    /// (the server's `--io-mode`; ignored with an external `addr`).
-    pub io_mode: String,
     /// Open-loop target arrival rate across all connections, requests
     /// per second; 0 = unpaced (the window alone sets the load).
     pub rate: f64,
@@ -173,9 +167,7 @@ impl Default for LoadgenConfig {
             hot_k: 64,
             epoch_len: 4096,
             pipeline: 1,
-            connections: 0,
             client_threads: 2,
-            io_mode: "threads".into(),
             rate: 0.0,
             sweep: Vec::new(),
             value_size: 64,
@@ -243,120 +235,44 @@ impl WaveOutcome {
     }
 }
 
-/// Replay `slices` (one per connection) against `addr` concurrently and
-/// merge the outcomes. `pipeline` ≤ 1 with no rate uses the closed-loop
-/// client; otherwise the pipelined client, paced by a shared open-loop
-/// schedule when `rate > 0`: request `g` of the round-robin-interleaved
-/// trace is *intended* to leave at `g / rate` seconds, whichever
-/// connection owns it — one global arrival process split across sockets.
+/// Replay `slices` (one per connection) against `addr` and merge the
+/// outcomes. The connections are dealt round-robin across
+/// `client_threads` reactor threads of the [`engine`], each keeping up to
+/// `window` requests in flight per connection; with `rate > 0` sends
+/// follow the shared open-loop schedule of [`engine::Pacing`].
 fn run_wave(
     addr: SocketAddr,
     slices: &[Vec<Request>],
-    pipeline: usize,
-    rate: f64,
-    puts: PutValues,
-) -> WaveOutcome {
-    let conns = slices.len().max(1);
-    let schedules: Option<Vec<Vec<u64>>> = (rate > 0.0).then(|| {
-        let interval = 1e9 / rate;
-        (0..conns)
-            .map(|c| {
-                (0..slices[c].len())
-                    .map(|j| ((c + j * conns) as f64 * interval) as u64)
-                    .collect()
-            })
-            .collect()
-    });
-    let clock = Clock::start();
-    let wall = Stopwatch::start();
-    let outcomes: Vec<Result<client::ConnOutcome, ClientErrorEntry>> =
-        std::thread::scope(|scope| {
-            let handles: Vec<_> = slices
-                .iter()
-                .enumerate()
-                .map(|(c, slice)| {
-                    let schedule = schedules.as_ref().map(|s| s[c].as_slice());
-                    wmlp_check::thread::spawn_scoped_named(
-                        scope,
-                        format!("lg-conn-{c}"),
-                        move || {
-                            if pipeline <= 1 && schedule.is_none() {
-                                client::run_requests(&addr, slice, puts)
-                            } else {
-                                client::run_pipelined(
-                                    &addr,
-                                    slice,
-                                    pipeline.max(1),
-                                    schedule,
-                                    clock,
-                                    puts,
-                                )
-                            }
-                        },
-                    )
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| match h.join() {
-                    Ok(Ok(o)) => Ok(o),
-                    Ok(Err(e)) => Err(ClientErrorEntry {
-                        kind: e.kind().into(),
-                        detail: e.to_string(),
-                    }),
-                    Err(_) => Err(ClientErrorEntry {
-                        kind: "panic".into(),
-                        detail: "connection thread panicked".into(),
-                    }),
-                })
-                .collect()
-        });
-    let wall_nanos = wall.elapsed_nanos();
-    let mut out = WaveOutcome {
-        hist: Histogram::new(),
-        send_lag: Histogram::new(),
-        totals: Totals::default(),
-        client_errors: Vec::new(),
-        wall_nanos,
-    };
-    for outcome in outcomes {
-        match outcome {
-            Ok(o) => {
-                out.hist.merge(&o.hist);
-                out.send_lag.merge(&o.send_lag);
-                out.totals.merge(&o.totals);
-            }
-            Err(entry) => out.client_errors.push(entry),
-        }
-    }
-    out
-}
-
-/// One fan-in wave: `slices` (one per connection) dealt round-robin
-/// across `client_threads` event-driven threads, each multiplexing its
-/// share of the connections over one reactor (see [`fanin`]).
-fn run_fanin_wave(
-    addr: SocketAddr,
-    slices: &[Vec<Request>],
     window: usize,
+    rate: f64,
     puts: PutValues,
     client_threads: usize,
 ) -> WaveOutcome {
-    let nthreads = client_threads.max(1).min(slices.len().max(1));
-    let clock = Clock::start();
+    let conns = slices.len().max(1);
+    let nthreads = client_threads.max(1).min(conns);
+    let load = engine::Load {
+        window,
+        pacing: (rate > 0.0).then(|| engine::Pacing {
+            interval_ns: 1e9 / rate,
+            conns,
+        }),
+        puts,
+        clock: Clock::start(),
+    };
     let wall = Stopwatch::start();
     let outcomes: Vec<Result<client::ConnOutcome, ClientErrorEntry>> =
         std::thread::scope(|scope| {
             let handles: Vec<_> = (0..nthreads)
                 .map(|t| {
-                    let my: Vec<&[Request]> = slices
+                    let my: Vec<(usize, &[Request])> = slices
                         .iter()
+                        .map(Vec::as_slice)
+                        .enumerate()
                         .skip(t)
                         .step_by(nthreads)
-                        .map(Vec::as_slice)
                         .collect();
                     wmlp_check::thread::spawn_scoped_named(scope, format!("lg-io-{t}"), move || {
-                        fanin::run_thread(addr, &my, window, puts, clock)
+                        engine::run_thread(addr, &my, load)
                     })
                 })
                 .collect();
@@ -374,7 +290,7 @@ fn run_fanin_wave(
                         .collect::<Vec<_>>(),
                     Err(_) => vec![Err(ClientErrorEntry {
                         kind: "panic".into(),
-                        detail: "fan-in client thread panicked".into(),
+                        detail: "client thread panicked".into(),
                     })],
                 })
                 .collect()
@@ -403,32 +319,19 @@ fn run_fanin_wave(
 /// Run the full load: (spawn and) target a server, replay the workload
 /// over `conns` connections, and assemble the report.
 pub fn run(cfg: &LoadgenConfig) -> Result<ServeReport, String> {
-    if cfg.connections > 0 && (cfg.rate > 0.0 || !cfg.sweep.is_empty()) {
-        return Err(
-            "--connections fan-in mode is about connection scaling, not pacing; \
-             it does not combine with --rate or --sweep"
-                .into(),
-        );
-    }
-    if cfg.connections > 0 {
-        // Fail fast with a clear message instead of EMFILE mid-run: the
-        // connections plus headroom for the server side (when spawned
-        // in-process, every accepted socket costs fds here too).
-        let headroom = 128;
-        let server_side = if cfg.addr.is_none() {
-            2 * cfg.connections as u64 // accepted socket + registry dup
-        } else {
-            0
-        };
-        let needed = cfg.connections as u64 + server_side + headroom;
-        let limit = wmlp_core::net::rlimit_nofile().map_err(|e| format!("rlimit: {e}"))?;
-        if limit < needed {
-            return Err(format!(
-                "--connections {}: needs ~{needed} file descriptors but RLIMIT_NOFILE \
-                 is {limit}; raise it (e.g. `ulimit -n {needed}`) or lower --connections",
-                cfg.connections
-            ));
-        }
+    let conns = cfg.conns.max(1);
+    // Fail fast with a clear message instead of EMFILE mid-run: the
+    // connections plus headroom, plus the accepted sockets when the
+    // server runs in this process.
+    let headroom = 128;
+    let server_side = if cfg.addr.is_none() { conns as u64 } else { 0 };
+    let needed = conns as u64 + server_side + headroom;
+    let limit = wmlp_core::net::rlimit_nofile().map_err(|e| format!("rlimit: {e}"))?;
+    if limit < needed {
+        return Err(format!(
+            "--conns {conns}: needs ~{needed} file descriptors but RLIMIT_NOFILE \
+             is {limit}; raise it (e.g. `ulimit -n {needed}`) or lower --conns"
+        ));
     }
     let inst = Arc::new(wmlp_serve::default_instance(
         cfg.pages,
@@ -451,7 +354,6 @@ pub fn run(cfg: &LoadgenConfig) -> Result<ServeReport, String> {
                     detector_capacity: cfg.detector_capacity,
                     hot_k: cfg.hot_k,
                     epoch_len: cfg.epoch_len,
-                    io_mode: IoMode::parse(&cfg.io_mode)?,
                     ..ServeConfig::default()
                 },
             )
@@ -464,11 +366,6 @@ pub fn run(cfg: &LoadgenConfig) -> Result<ServeReport, String> {
         .ok_or_else(|| "no server address".to_string())?;
 
     let trace = cfg.workload.trace(&inst, cfg.requests, cfg.seed);
-    let conns = if cfg.connections > 0 {
-        cfg.connections
-    } else {
-        cfg.conns.max(1)
-    };
     // Round-robin partition: connection c replays requests c, c+conns, …
     // in trace order, so the union of what the server sees is the trace
     // (interleaved by scheduling, as real concurrent clients would be).
@@ -480,11 +377,14 @@ pub fn run(cfg: &LoadgenConfig) -> Result<ServeReport, String> {
         seed: cfg.seed,
         size: cfg.value_size.max(1),
     };
-    let mut main = if cfg.connections > 0 {
-        run_fanin_wave(addr, &slices, cfg.pipeline, puts, cfg.client_threads)
-    } else {
-        run_wave(addr, &slices, cfg.pipeline, cfg.rate, puts)
-    };
+    let mut main = run_wave(
+        addr,
+        &slices,
+        cfg.pipeline,
+        cfg.rate,
+        puts,
+        cfg.client_threads,
+    );
     let mut client_errors = std::mem::take(&mut main.client_errors);
 
     // The sweep replays the same trace open-loop at each offered rate,
@@ -495,7 +395,14 @@ pub fn run(cfg: &LoadgenConfig) -> Result<ServeReport, String> {
         if target <= 0.0 {
             continue;
         }
-        let mut w = run_wave(addr, &slices, cfg.pipeline.max(2), target, puts);
+        let mut w = run_wave(
+            addr,
+            &slices,
+            cfg.pipeline.max(2),
+            target,
+            puts,
+            cfg.client_threads,
+        );
         client_errors.append(&mut w.client_errors);
         sweep.push(SweepPoint {
             target_rps: target,
@@ -717,22 +624,105 @@ mod tests {
         assert_eq!(piped.totals, closed.totals);
         assert_eq!(piped.server.requests, closed.server.requests);
         assert_eq!(piped.server.cost, closed.server.cost);
-        // Windowed-but-unpaced: intended = actual send, so lag is
-        // recorded (count > 0) but tiny.
-        assert_eq!(piped.send_lag.count, 600);
+        // Unpaced runs have no schedule to lag behind.
+        assert_eq!(piped.send_lag.count, 0);
+        assert_eq!(piped.latency.count, 600);
     }
 
-    /// Fan-in mode end-to-end: 64 multiplexed connections over 2 client
-    /// threads against a spawned epoll-mode server, every request
-    /// answered, accounting exact.
+    /// The counters of `wmlp-serve --replay` for `trace`: requests,
+    /// hits, fetches, evictions, and cost.
+    fn replay_counters(
+        inst: &Arc<MlInstance>,
+        trace: &[Request],
+        policy: &str,
+        seed: u64,
+    ) -> [u64; 5] {
+        let json =
+            wmlp_serve::replay_manifest(Arc::clone(inst), trace.to_vec(), policy, seed).unwrap();
+        let doc = serde::json::parse(&json).unwrap();
+        let run = &doc.field("runs").unwrap().as_array().unwrap()[0];
+        let counters = run.field("counters").unwrap();
+        let num = |v: &serde::Value| match v {
+            serde::Value::I64(x) => u64::try_from(*x).unwrap(),
+            serde::Value::U64(x) => *x,
+            other => panic!("expected a counter, got {other:?}"),
+        };
+        [
+            num(counters.field("requests").unwrap()),
+            num(counters.field("hits").unwrap()),
+            num(counters.field("fetches").unwrap()),
+            num(counters.field("evictions").unwrap()),
+            num(run.field("cost").unwrap()),
+        ]
+    }
+
+    /// One connection against one shard serves the trace in trace order,
+    /// so closed-loop, pipelined and paced runs must all reproduce the
+    /// single-engine reference exactly: the client totals and the
+    /// server's final STATS both equal the `--replay` manifest's counters.
     #[test]
-    fn fanin_mode_serves_many_connections_over_few_threads() {
+    fn single_connection_runs_match_the_replay_manifest() {
+        let base = LoadgenConfig {
+            requests: 1_500,
+            conns: 1,
+            shards: 1,
+            workload: Workload::Zipf { alpha: 1.1 },
+            policy: "landlord".into(),
+            ..LoadgenConfig::smoke()
+        };
+        let inst = Arc::new(
+            wmlp_serve::default_instance(base.pages, base.levels, base.k, base.weight_seed)
+                .unwrap(),
+        );
+        let trace = base.workload.trace(&inst, base.requests, base.seed);
+        let [requests, hits, fetches, evictions, cost] =
+            replay_counters(&inst, &trace, &base.policy, base.seed);
+        assert!(
+            hits > 0 && evictions > 0,
+            "the trace must exercise the cache"
+        );
+        for (pipeline, rate) in [(1, 0.0), (16, 0.0), (16, 30_000.0)] {
+            let report = run(&LoadgenConfig {
+                pipeline,
+                rate,
+                ..base.clone()
+            })
+            .unwrap();
+            let label = format!("pipeline {pipeline}, rate {rate}");
+            assert!(report.client_errors.is_empty(), "{label}");
+            assert_eq!(report.totals.errors, 0, "{label}");
+            assert_eq!(
+                [report.totals.sent, report.totals.hits, report.totals.cost],
+                [requests, hits, cost],
+                "{label}: client totals vs replay"
+            );
+            let s = &report.server;
+            assert_eq!(
+                [s.requests, s.hits, s.fetches, s.evictions, s.cost],
+                [requests, hits, fetches, evictions, cost],
+                "{label}: server STATS vs replay"
+            );
+            assert_eq!(report.latency.count, requests, "{label}");
+            let paced = if rate > 0.0 { requests } else { 0 };
+            assert_eq!(report.send_lag.count, paced, "{label}");
+            if rate > 0.0 {
+                // No request leaves before its due time, so the run lasts
+                // at least until the last one is due.
+                let last_due = (requests - 1) as f64 * 1e9 / rate;
+                assert!(report.wall_nanos as f64 >= last_due, "{label}");
+            }
+        }
+    }
+
+    /// Many connections multiplexed over few client threads: every
+    /// request answered, accounting exact.
+    #[test]
+    fn many_connections_multiplex_over_few_threads() {
         let report = run(&LoadgenConfig {
             requests: 2_000,
-            connections: 64,
+            conns: 64,
             client_threads: 2,
             pipeline: 8,
-            io_mode: "epoll".into(),
             ..LoadgenConfig::smoke()
         })
         .unwrap();
@@ -745,61 +735,20 @@ mod tests {
         assert_eq!(report.config.conns, 64);
         assert!(report.shutdown_clean);
         assert!(report.latency.count == 2_000);
-        // Fan-in has no arrival schedule, hence no send-lag samples.
         assert_eq!(report.send_lag.count, 0);
-    }
-
-    /// A single fan-in connection replays the identical request sequence
-    /// a thread-per-connection pipelined client does, so all
-    /// deterministic outcomes must agree across client architectures
-    /// (and across server io modes).
-    #[test]
-    fn fanin_single_connection_matches_pipelined_accounting() {
-        let base = LoadgenConfig {
-            requests: 600,
-            conns: 1,
-            shards: 2,
-            ..LoadgenConfig::smoke()
-        };
-        let piped = run(&LoadgenConfig {
-            pipeline: 32,
-            ..base.clone()
-        })
-        .unwrap();
-        let fanin = run(&LoadgenConfig {
-            connections: 1,
-            client_threads: 1,
-            pipeline: 32,
-            io_mode: "epoll".into(),
-            ..base
-        })
-        .unwrap();
-        assert_eq!(fanin.totals.sent, 600);
-        assert_eq!(fanin.totals.errors, 0);
-        assert_eq!(fanin.totals, piped.totals);
-        assert_eq!(fanin.server.requests, piped.server.requests);
-        assert_eq!(fanin.server.cost, piped.server.cost);
     }
 
     /// The RLIMIT_NOFILE gate: a connection count no fd table holds is
     /// refused up front with an actionable message, not a mid-run EMFILE.
     #[test]
-    fn fanin_rlimit_check_fails_fast() {
+    fn rlimit_check_fails_fast() {
         let err = run(&LoadgenConfig {
-            connections: 1 << 29,
+            conns: 1 << 29,
             ..LoadgenConfig::smoke()
         })
         .unwrap_err();
         assert!(err.contains("RLIMIT_NOFILE"), "{err}");
         assert!(err.contains("ulimit"), "{err}");
-        // And pacing flags are rejected in fan-in mode, not ignored.
-        let err = run(&LoadgenConfig {
-            connections: 8,
-            rate: 1000.0,
-            ..LoadgenConfig::smoke()
-        })
-        .unwrap_err();
-        assert!(err.contains("--rate"), "{err}");
     }
 
     #[test]

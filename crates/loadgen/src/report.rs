@@ -31,14 +31,14 @@
 //!     "shard_share": [f64], // per-shard fraction of all served requests
 //!     "imbalance": f64      // max shard share / mean shard share (1.0 = even)
 //!   },
-//!   "latency": {            // per-request, nanoseconds: closed-loop
-//!     "count": u64,         // round-trips, or intended-start → completion
+//!   "latency": {            // per-request, nanoseconds: send → reply,
+//!     "count": u64,         // or intended-start → reply when paced
 //!     "p50": u64, "p90": u64, "p95": u64, "p99": u64,   // (coordinated-
 //!     "max": u64, "mean": u64                           // omission-corrected)
 //!   },
 //!   "send_lag": {           // actual-send minus intended-send, ns; how
 //!     ... same shape ...    // far the client fell behind its schedule
-//!   },                      // (count 0 for closed-loop runs)
+//!   },                      // (count 0 for unpaced runs)
 //!   "wall_nanos": u64,      // whole-run wall time (machine-dependent)
 //!   "throughput_rps": f64,  // sent / wall seconds (machine-dependent)
 //!   "sweep": [              // optional throughput-vs-latency sweep
@@ -324,7 +324,7 @@ pub struct ServeReport {
     /// paced runs; machine-dependent).
     pub latency: LatencySummary,
     /// Actual-send minus intended-send summary, nanoseconds (count 0
-    /// for closed-loop runs; machine-dependent).
+    /// for unpaced runs; machine-dependent).
     pub send_lag: LatencySummary,
     /// Whole-run wall time in nanoseconds (machine-dependent).
     pub wall_nanos: u64,

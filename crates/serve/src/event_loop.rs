@@ -1,24 +1,21 @@
-//! The event-driven connection plane (`--io-mode epoll`): N reactor
-//! loops own every client socket.
+//! The connection plane: N event loops own every client socket.
 //!
-//! Instead of a reader+writer thread pair per connection, `io_threads`
-//! event loops (named `io-{i}`) multiplex all connections over
-//! [`wmlp_core::net::Reactor`]s. Loop 0 owns the (non-blocking) listener
-//! and assigns each accepted connection to loop `id % N` via a handoff
-//! queue plus an `eventfd` doorbell ring. Each loop drives its
-//! connections through the same resumable [`Conn`] state machine the
-//! blocking plane uses:
+//! `io_threads` event loops (named `io-{i}`) multiplex all connections
+//! over [`wmlp_core::net::Reactor`]s. Loop 0 owns the (non-blocking)
+//! listener and assigns each accepted connection to loop `id % N` via a
+//! handoff queue plus an `eventfd` doorbell ring. Each loop drives its
+//! connections through the resumable [`Conn`] state machine:
 //!
 //! * **Reads** are incremental: on readiness the loop reads into
 //!   [`Conn::recv_space`] until `EAGAIN`, decoding every complete frame.
-//!   Decoded requests get the identical treatment to the thread plane's
-//!   `serve_connection` — per-connection sequence numbers, inline STATS/
-//!   SHUTDOWN/error replies, validity and shutdown checks — and are
-//!   routed with [`ReplyTo::Sink`] pointing back at this loop.
-//! * **Backpressure** is readiness-driven instead of a parked reader: a
-//!   connection at `max_inflight` outstanding requests (or with ≥ 1 MiB
-//!   of unflushed output) simply drops read interest; replies draining
-//!   re-arm it. No thread ever blocks.
+//!   Each decoded frame takes the connection's next sequence number;
+//!   STATS, SHUTDOWN and errors are answered inline, while requests pass
+//!   validity and shutdown checks and are routed with [`ReplyTo::Sink`]
+//!   pointing back at this loop.
+//! * **Backpressure** is readiness-driven: a connection at
+//!   `max_inflight` outstanding requests (or with ≥ 1 MiB of unflushed
+//!   output) is neither decoded further nor read, and drops read
+//!   interest; replies draining re-arm it. No thread ever blocks.
 //! * **Writes** go through the per-connection [`Reorder`] buffer into
 //!   [`Conn`]'s outbound buffer, flushed with `EAGAIN`-aware partial
 //!   writes; write interest is registered only while bytes are pending
@@ -28,11 +25,12 @@
 //!   publish-then-ring handshake in [`crate::notify`]), so a shard hands
 //!   a finished batch back without blocking.
 //!
-//! Shutdown mirrors the thread plane: the flag flips, registered sockets
-//! are half-closed (reads drain to EOF, in-flight work completes and is
-//! written back), the listener closes, and each loop exits once its last
-//! connection drains. Dropping the loops' `route_tx` clones then cascades
-//! the router → ring → shard teardown exactly as before.
+//! Shutdown: the flag flips and every loop's bell rings; each loop then
+//! drops the listener, half-closes its sockets (reads drain to EOF,
+//! in-flight work completes and is written back), refuses connections
+//! handed to it afterwards, and exits once its last connection drains.
+//! Dropping the loops' `route_tx` clones then cascades the router → ring
+//! → shard teardown.
 
 // lint:orderings(SeqCst): the only atomic touched here is the server's
 // one-shot shutdown latch, shared with `server.rs`, which declares the
@@ -54,7 +52,7 @@ use wmlp_core::wire::{ErrorCode, Frame};
 
 use crate::notify::{CompletionQueue, Doorbell};
 use crate::reorder::Reorder;
-use crate::server::{lock_conns, Inner};
+use crate::server::Inner;
 use crate::shard::{CompletionSink, ReplyTo, ShardJob, ShardStats};
 
 /// Reactor token of the listener (loop 0 only).
@@ -65,8 +63,8 @@ const TOK_BELL: u64 = 1;
 /// reserved tokens.
 const FIRST_CONN_ID: u64 = 2;
 /// A connection with this much unflushed output stops reading until the
-/// socket drains — the event-driven analogue of the blocking plane's
-/// writer applying backpressure through `write_all`.
+/// socket drains, so a client that never reads cannot grow the outbound
+/// buffer without bound.
 const OUTBOUND_HIGH_WATER: usize = 1 << 20;
 
 /// An `eventfd` is a counting doorbell: the kernel accumulates rings, so
@@ -118,9 +116,7 @@ fn lock_incoming(shared: &LoopShared) -> MutexGuard<'_, Vec<(u64, TcpStream)>> {
     }
 }
 
-/// Everything the loop tracks per connection. The protocol state machine
-/// ([`Conn`]) is the same one the blocking plane's `FrameReader`/
-/// `write_frame` wrap; only the driving changes.
+/// Everything the loop tracks per connection.
 struct ConnState {
     stream: TcpStream,
     conn: Conn,
@@ -138,6 +134,22 @@ struct ConnState {
     read_closed: bool,
     /// The socket is unusable (write error); close without draining.
     dead: bool,
+}
+
+impl ConnState {
+    /// Fresh protocol state for a socket registered read-only.
+    fn new(stream: TcpStream) -> ConnState {
+        ConnState {
+            stream,
+            conn: Conn::new(),
+            next_seq: 0,
+            inflight: 0,
+            pending: Reorder::new(),
+            interest: Interest::READABLE,
+            read_closed: false,
+            dead: false,
+        }
+    }
 }
 
 /// One event loop: owns a reactor and every connection assigned to it.
@@ -191,10 +203,18 @@ pub(crate) fn run_io_loop(
             }
         }
 
+        // Drain the doorbell *before* reading the shutdown flag: the
+        // trigger publishes the flag and then rings, so a shutdown ring
+        // this drain consumes is always followed by a load that sees the
+        // flag. Reading the flag first would let that ring be consumed
+        // unobserved and park the loop in `epoll_wait` for good.
+        if bell_ready {
+            let _ = shared.bell.drain();
+        }
+
         // Observe shutdown once: stop accepting, and half-close every
-        // owned socket so reads drain to EOF (the trigger already did
-        // this through the shared registry; repeating it here closes the
-        // race with connections adopted mid-trigger).
+        // owned socket so reads drain to EOF. Connections handed over
+        // later are refused by `adopt_conn`.
         if !shutdown_seen && inner.shutdown.load(Ordering::SeqCst) {
             shutdown_seen = true;
             if let Some(l) = listener.take() {
@@ -206,7 +226,6 @@ pub(crate) fn run_io_loop(
         }
 
         if bell_ready {
-            let _ = shared.bell.drain();
             adopted.clear();
             {
                 let mut inc = lock_incoming(&shared);
@@ -266,7 +285,7 @@ pub(crate) fn run_io_loop(
             }
             let gone = cs.dead || (cs.read_closed && cs.inflight == 0 && !cs.conn.wants_write());
             if gone || !rearm(&reactor, inner.max_inflight, id, cs) {
-                close_conn(&inner, &reactor, &mut conns, id);
+                close_conn(&reactor, &mut conns, id);
             }
         }
 
@@ -278,7 +297,7 @@ pub(crate) fn run_io_loop(
     // Non-graceful exits (reactor failure) still tear connections down.
     let leftover: Vec<u64> = conns.keys().copied().collect();
     for id in leftover {
-        close_conn(&inner, &reactor, &mut conns, id);
+        close_conn(&reactor, &mut conns, id);
     }
     for (_, stream) in lock_incoming(&shared).drain(..) {
         let _ = stream.shutdown(Shutdown::Both);
@@ -287,9 +306,8 @@ pub(crate) fn run_io_loop(
 
 /// Accept until `EAGAIN`, assigning each connection to loop `id % N`:
 /// locally adopted, or pushed to the target loop's handoff queue with a
-/// doorbell ring. Mirrors the blocking acceptor: the socket is
-/// registered in the shared registry (for shutdown half-close) first,
-/// and connections arriving after the shutdown flag are dropped.
+/// doorbell ring. Connections arriving after the shutdown flag are
+/// dropped.
 #[allow(clippy::too_many_arguments)]
 fn accept_new(
     inner: &Arc<Inner>,
@@ -305,13 +323,10 @@ fn accept_new(
         match listener.accept() {
             Ok((stream, _)) => {
                 if inner.shutdown.load(Ordering::SeqCst) {
-                    continue; // the wake connection, or a late client
+                    continue; // a late client
                 }
                 *next_id += 1;
                 let id = *next_id;
-                if let Ok(dup) = stream.try_clone() {
-                    lock_conns(inner).push((id, dup));
-                }
                 let target = (id as usize) % peers.len();
                 if target == me {
                     adopt_conn(inner, reactor, conns, false, id, stream);
@@ -331,8 +346,8 @@ fn accept_new(
 }
 
 /// Take ownership of an accepted connection: non-blocking, registered
-/// read-only, fresh protocol state. Refused (closed and deregistered)
-/// when the server is shutting down or registration fails.
+/// read-only, fresh protocol state. Refused (closed) when the server is
+/// shutting down or registration fails.
 fn adopt_conn(
     inner: &Arc<Inner>,
     reactor: &Reactor,
@@ -349,28 +364,15 @@ fn adopt_conn(
             .is_err();
     if reject {
         let _ = stream.shutdown(Shutdown::Both);
-        lock_conns(inner).retain(|(cid, _)| *cid != id);
         return;
     }
-    conns.insert(
-        id,
-        ConnState {
-            stream,
-            conn: Conn::new(),
-            next_seq: 0,
-            inflight: 0,
-            pending: Reorder::new(),
-            interest: Interest::READABLE,
-            read_closed: false,
-            dead: false,
-        },
-    );
+    conns.insert(id, ConnState::new(stream));
 }
 
 /// Read until `EAGAIN`/EOF/backpressure, decoding and dispatching every
-/// complete frame. Decoding always runs ahead of the next socket read,
-/// so frames buffered before an EOF are still served (the `FrameReader`
-/// contract, readiness-style).
+/// complete frame — but never more than `max_inflight` outstanding per
+/// connection (the read gate). Decoding always runs ahead of the next
+/// socket read, so frames buffered before an EOF are still served.
 fn service_read(
     inner: &Arc<Inner>,
     route_tx: &mpsc::Sender<ShardJob>,
@@ -412,8 +414,7 @@ fn service_read(
         }
         match cs.stream.read(cs.conn.recv_space()) {
             Ok(0) => {
-                // Clean EOF; trailing partial-frame bytes are dropped
-                // exactly as the blocking plane's TruncatedEof path does.
+                // Clean EOF; trailing partial-frame bytes are dropped.
                 cs.read_closed = true;
                 break;
             }
@@ -429,10 +430,10 @@ fn service_read(
     }
 }
 
-/// Dispatch one decoded frame: identical semantics to the blocking
-/// plane's `serve_connection` loop, with replies flowing through the
-/// sequence [`Reorder`] into the outbound buffer instead of a writer
-/// thread's inbox.
+/// Dispatch one decoded frame under the next sequence number. Control
+/// frames (STATS, SHUTDOWN, protocol errors) are answered inline but
+/// still sequenced, so every response leaves in the order its request
+/// arrived; requests are validated and routed to the shards.
 fn process_frame(
     inner: &Arc<Inner>,
     route_tx: &mpsc::Sender<ShardJob>,
@@ -564,23 +565,97 @@ fn rearm(reactor: &Reactor, max_inflight: usize, id: u64, cs: &mut ConnState) ->
     true
 }
 
-/// Remove the connection: deregister, close both socket halves, and drop
-/// its registry entry (whose duplicate fd would otherwise hold the
-/// socket open and starve the client of its EOF).
-fn close_conn(
-    inner: &Arc<Inner>,
-    reactor: &Reactor,
-    conns: &mut BTreeMap<u64, ConnState>,
-    id: u64,
-) {
+/// Remove the connection: deregister and close both socket halves.
+fn close_conn(reactor: &Reactor, conns: &mut BTreeMap<u64, ConnState>, id: u64) {
     if let Some(cs) = conns.remove(&id) {
         let _ = reactor.deregister(cs.stream.as_raw_fd());
         let _ = cs.stream.shutdown(Shutdown::Both);
     }
-    lock_conns(inner).retain(|(cid, stream)| {
-        if *cid == id {
-            let _ = stream.shutdown(Shutdown::Both);
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use wmlp_check::sync::atomic::AtomicBool;
+    use wmlp_core::instance::MlInstance;
+    use wmlp_core::wire::encode;
+
+    /// The read gate, driven step by step on one loop's state: with
+    /// `max_inflight = 2` and five requests already buffered, a read pass
+    /// routes exactly two and drops read interest; a completion frees a
+    /// slot only once its reply can leave in order, and each freed slot
+    /// lets exactly one more buffered request through.
+    #[test]
+    fn read_gate_routes_at_most_max_inflight_per_connection() {
+        let inst = MlInstance::from_rows(2, (0..8).map(|p| vec![10 + p as u64]).collect())
+            .expect("instance");
+        let inner = Arc::new(Inner {
+            addr: "127.0.0.1:0".parse().expect("addr"),
+            inst: Arc::new(inst),
+            max_inflight: 2,
+            shutdown: AtomicBool::new(false),
+            stats: vec![Arc::default()],
+            warm_recovered: 0,
+            bells: Vec::new(),
+        });
+        let shared = LoopShared::new().expect("loop state");
+        let reactor = Reactor::new().expect("reactor");
+        let (route_tx, route_rx) = mpsc::channel::<ShardJob>();
+        let routed = || -> Vec<u64> { route_rx.try_iter().map(|job| job.seq).collect() };
+
+        // A real but idle socket: the requests go straight into the
+        // connection's inbound buffer, so socket reads only see EAGAIN.
+        let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
+        let _client = TcpStream::connect(listener.local_addr().expect("addr")).expect("connect");
+        let (stream, _) = listener.accept().expect("accept");
+        stream.set_nonblocking(true).expect("nonblocking");
+        reactor
+            .register(stream.as_raw_fd(), Token(FIRST_CONN_ID), Interest::READABLE)
+            .expect("register");
+        let mut cs = ConnState::new(stream);
+        let mut bytes = Vec::new();
+        for page in 0..5u32 {
+            encode(&Frame::Get { page, level: 1 }, &mut bytes);
         }
-        *cid != id
-    });
+        cs.conn.recv_bytes(&bytes);
+        let pass = |cs: &mut ConnState| {
+            service_read(&inner, &route_tx, &shared, FIRST_CONN_ID, cs);
+            assert!(rearm(&reactor, inner.max_inflight, FIRST_CONN_ID, cs));
+        };
+        let served = || Frame::Served {
+            hit: true,
+            level: 1,
+            cost: 0,
+            value: Vec::new(),
+        };
+
+        pass(&mut cs);
+        assert_eq!(routed(), vec![0, 1], "the gate stops at max_inflight");
+        assert!(!cs.interest.readable, "a full window drops read interest");
+        pass(&mut cs);
+        assert!(routed().is_empty(), "a closed gate routes nothing");
+
+        // Reply 1 lands first; it cannot leave before reply 0, so its
+        // slot stays taken.
+        deliver_reply(&mut cs, 1, served());
+        pass(&mut cs);
+        assert!(routed().is_empty(), "an out-of-order reply frees no slot");
+
+        // Reply 0 releases both; exactly two more requests go out.
+        deliver_reply(&mut cs, 0, served());
+        pass(&mut cs);
+        assert_eq!(routed(), vec![2, 3]);
+        assert!(!cs.interest.readable);
+
+        // One completion, one more request: the last one buffered.
+        deliver_reply(&mut cs, 2, served());
+        pass(&mut cs);
+        assert_eq!(routed(), vec![4]);
+        assert_eq!(cs.inflight, 2);
+        deliver_reply(&mut cs, 3, served());
+        pass(&mut cs);
+        assert!(routed().is_empty(), "nothing left to route");
+        assert!(cs.interest.readable, "room in the window re-arms reads");
+        assert!(!cs.read_closed && !cs.dead);
+    }
 }

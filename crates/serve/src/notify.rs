@@ -1,8 +1,8 @@
 //! The wakeup handshake between shard workers and event loops: a
 //! completion queue paired with a doorbell.
 //!
-//! In `--io-mode epoll` there is no parked writer thread to hand a reply
-//! to — the connection's owner is an event loop blocked in `epoll_wait`.
+//! A connection's owner is an event loop blocked in `epoll_wait`, not a
+//! thread parked on a channel.
 //! Shard workers instead [`push`](CompletionQueue::push) completed
 //! frames onto the loop's [`CompletionQueue`] and ring its [`Doorbell`]
 //! (an `eventfd` in production). The protocol is strictly

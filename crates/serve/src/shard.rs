@@ -27,7 +27,7 @@
 // store and the final decrement acquires them all, so the last shard to
 // finish observes the home shard's reply frame (the Arc-drop pattern).
 
-use std::sync::{mpsc, Arc, Mutex};
+use std::sync::{Arc, Mutex};
 
 use wmlp_check::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 
@@ -226,9 +226,8 @@ impl ShardStats {
 pub struct FanoutAck {
     remaining: AtomicUsize,
     seq: u64,
-    /// Where the final (home) frame goes — a connection writer inbox in
-    /// `--io-mode threads`, an event-loop completion queue in
-    /// `--io-mode epoll`. Never itself a [`ReplyTo::Fanout`]; the router
+    /// Where the final (home) frame goes — the owning event loop's
+    /// completion queue. Never itself a [`ReplyTo::Fanout`]; the router
     /// guards against nesting countdowns.
     reply: ReplyTo,
     /// The home shard's reply frame, parked until the countdown ends.
@@ -272,23 +271,31 @@ impl FanoutAck {
 }
 
 /// A destination for completed frames from connections owned by an event
-/// loop rather than a dedicated writer thread: shard workers (and the
-/// router's fan-out countdown) hand `(connection, seq, frame)` triples to
-/// the loop without blocking, and the implementation is responsible for
-/// waking the loop (the epoll plane uses an `eventfd` doorbell; see the
-/// `notify` module for the model-checked handshake).
+/// loop: shard workers (and the router's fan-out countdown) hand
+/// `(connection, seq, frame)` triples to the loop without blocking, and
+/// the implementation is responsible for waking the loop (the event
+/// loops use an `eventfd` doorbell; see the `notify` module for the
+/// model-checked handshake).
 pub trait CompletionSink: Send + Sync {
     /// Deliver `frame` for sequence slot `seq` of connection `conn`.
     fn complete(&self, conn: u64, seq: u64, frame: Frame);
 }
 
+/// A sink that just collects `(conn, seq, frame)` triples in delivery
+/// order — a stand-in for an event loop where shard workers are driven
+/// directly, as in tests.
+impl CompletionSink for Mutex<Vec<(u64, u64, Frame)>> {
+    fn complete(&self, conn: u64, seq: u64, frame: Frame) {
+        match self.lock() {
+            Ok(mut g) => g.push((conn, seq, frame)),
+            Err(poisoned) => poisoned.into_inner().push((conn, seq, frame)),
+        }
+    }
+}
+
 /// Where a served job's reply frame goes.
 pub enum ReplyTo {
-    /// Straight to the originating connection's writer inbox
-    /// (`--io-mode threads`).
-    Conn(mpsc::Sender<(u64, Frame)>),
-    /// Into the completion queue of the event loop owning the connection
-    /// (`--io-mode epoll`).
+    /// Into the completion queue of the event loop owning the connection.
     Sink {
         /// The owning event loop's completion queue.
         sink: Arc<dyn CompletionSink>,
@@ -309,11 +316,6 @@ impl ReplyTo {
     /// Deliver `frame` for the job holding sequence slot `seq`.
     pub fn deliver(&self, seq: u64, frame: Frame) {
         match self {
-            // A send failure just means the connection hung up before
-            // its response; the step itself is already accounted.
-            ReplyTo::Conn(tx) => {
-                let _ = tx.send((seq, frame));
-            }
             ReplyTo::Sink { sink, conn } => sink.complete(*conn, seq, frame),
             ReplyTo::Fanout { ack, home } => ack.complete(frame, *home),
         }
@@ -329,8 +331,8 @@ pub struct ShardJob {
     /// storage backend once the engine has made room at level 1.
     pub put: Option<Vec<u8>>,
     /// Position in the originating connection's response order; the
-    /// connection's writer emits replies in `seq` order regardless of
-    /// shard completion order.
+    /// event loop emits replies in `seq` order regardless of shard
+    /// completion order.
     pub seq: u64,
     /// Where the response frame goes.
     pub reply: ReplyTo,
@@ -485,6 +487,27 @@ mod tests {
         MlInstance::from_rows(4, (0..10).map(|p| vec![10 + p as u64, 2]).collect()).unwrap()
     }
 
+    type Replies = Arc<Mutex<Vec<(u64, u64, Frame)>>>;
+
+    /// A collecting sink and the reply route into it.
+    fn collector() -> (Replies, impl Fn() -> ReplyTo) {
+        let sink: Replies = Arc::default();
+        let route = {
+            let sink = Arc::clone(&sink);
+            move || ReplyTo::Sink {
+                sink: sink.clone(),
+                conn: 0,
+            }
+        };
+        (sink, route)
+    }
+
+    /// The collected `(seq, frame)` replies, in delivery order.
+    fn replies(sink: &Replies) -> Vec<(u64, Frame)> {
+        let got = sink.lock().unwrap();
+        got.iter().map(|(_, seq, f)| (*seq, f.clone())).collect()
+    }
+
     #[test]
     fn map_gives_the_hash_home() {
         let map = ShardMap::new(3);
@@ -533,7 +556,7 @@ mod tests {
         let mut store = SimStorage::new(inst.n(), inst.max_levels(), 16);
         let stats = ShardStats::default();
         let (tx, rx) = spsc::channel(8);
-        let (reply_tx, reply_rx) = mpsc::channel();
+        let (sink, reply) = collector();
         for (seq, page) in [0u32, 1, 0, 9].into_iter().enumerate() {
             stats.note_enqueued();
             assert!(tx
@@ -541,13 +564,13 @@ mod tests {
                     req: Request::top(page),
                     put: if seq == 1 { Some(b"v1".to_vec()) } else { None },
                     seq: seq as u64,
-                    reply: ReplyTo::Conn(reply_tx.clone()),
+                    reply: reply(),
                 }))
                 .is_ok());
         }
         drop(tx);
         run_shard(&inst, policy.as_mut(), rx, &stats, 64, &mut store);
-        let frames: Vec<(u64, Frame)> = reply_rx.try_iter().collect();
+        let frames = replies(&sink);
         assert_eq!(frames.len(), 4);
         // Replies are tagged with their request's sequence slot, in order.
         assert!(frames.iter().map(|(s, _)| *s).eq(0..4));
@@ -601,7 +624,7 @@ mod tests {
             let mut store = SimStorage::new(inst.n(), inst.max_levels(), 8);
             let stats = ShardStats::default();
             let (tx, rx) = spsc::channel(ring_cap);
-            let (reply_tx, reply_rx) = mpsc::channel();
+            let (sink, reply) = collector();
             for (seq, &page) in pages.iter().enumerate() {
                 stats.note_enqueued();
                 assert!(tx
@@ -609,13 +632,13 @@ mod tests {
                         req: Request::top(page),
                         put: None,
                         seq: seq as u64,
-                        reply: ReplyTo::Conn(reply_tx.clone()),
+                        reply: reply(),
                     }))
                     .is_ok());
             }
             drop(tx);
             run_shard(&inst, policy.as_mut(), rx, &stats, batch_max, &mut store);
-            reply_rx.try_iter().map(|(_, f)| f).collect()
+            replies(&sink).into_iter().map(|(_, f)| f).collect()
         };
         let one_at_a_time = collect(1, 16);
         for batch_max in [2, 5, 64] {
@@ -632,7 +655,7 @@ mod tests {
         let mut store = SimStorage::new(inst.n(), inst.max_levels(), 16);
         let stats = ShardStats::default();
         let (tx, rx) = spsc::channel(8);
-        let (reply_tx, reply_rx) = mpsc::channel();
+        let (sink, reply) = collector();
         let gate = DrainGate::new(1);
         stats.note_enqueued();
         assert!(tx
@@ -640,7 +663,7 @@ mod tests {
                 req: Request::top(3),
                 put: None,
                 seq: 0,
-                reply: ReplyTo::Conn(reply_tx.clone()),
+                reply: reply(),
             }))
             .is_ok());
         assert!(tx.send(ShardMsg::Drain(gate.clone())).is_ok());
@@ -650,7 +673,7 @@ mod tests {
                 req: Request::top(5),
                 put: None,
                 seq: 1,
-                reply: ReplyTo::Conn(reply_tx),
+                reply: reply(),
             }))
             .is_ok());
         drop(tx);
@@ -658,15 +681,15 @@ mod tests {
         // The marker's gate opened, and both jobs (before and after the
         // marker) were served in order.
         assert_eq!(gate.remaining(), 0);
-        let seqs: Vec<u64> = reply_rx.try_iter().map(|(s, _)| s).collect();
+        let seqs: Vec<u64> = replies(&sink).into_iter().map(|(s, _)| s).collect();
         assert_eq!(seqs, vec![0, 1]);
         assert_eq!(stats.snapshot().requests, 2);
     }
 
     #[test]
     fn fanout_ack_forwards_the_home_frame_last() {
-        let (reply_tx, reply_rx) = mpsc::channel();
-        let ack = FanoutAck::new(3, 7, ReplyTo::Conn(reply_tx));
+        let (sink, reply) = collector();
+        let ack = FanoutAck::new(3, 7, reply());
         let frame = |level: u8| Frame::Served {
             hit: false,
             level,
@@ -674,12 +697,14 @@ mod tests {
             value: Vec::new(),
         };
         ack.complete(frame(2), false);
-        assert!(reply_rx.try_recv().is_err(), "reply before all shards ack");
+        assert!(replies(&sink).is_empty(), "reply before all shards ack");
         ack.complete(frame(1), true);
-        assert!(reply_rx.try_recv().is_err(), "reply before all shards ack");
+        assert!(replies(&sink).is_empty(), "reply before all shards ack");
         ack.complete(frame(3), false);
-        let (seq, got) = reply_rx.try_recv().expect("final ack sends the reply");
-        assert_eq!(seq, 7);
-        assert_eq!(got, frame(1), "the home shard's frame answers the client");
+        assert_eq!(
+            replies(&sink),
+            vec![(7, frame(1))],
+            "the final ack sends the home shard's frame, once"
+        );
     }
 }

@@ -1,11 +1,7 @@
 //! End-to-end tests: a real server on a loopback socket driven by a
 //! hand-rolled protocol client, plus replay-mode determinism through the
-//! actual `wmlp-serve` binary.
-//!
-//! The behavioral tests run against both connection planes (`--io-mode
-//! threads|epoll`), and the pipelined test uses the thread plane as the
-//! differential reference for the event-driven one: identical requests
-//! must produce byte-identical reply sequences in either mode.
+//! actual `wmlp-serve` binary. The single-engine `--replay` manifest is
+//! the reference a live one-shard server must reproduce exactly.
 
 use std::io::{BufWriter, Write};
 use std::net::TcpStream;
@@ -13,9 +9,9 @@ use std::sync::Arc;
 
 use wmlp_core::codec;
 use wmlp_core::conn::{write_frame, FrameReader};
-use wmlp_core::instance::Request;
+use wmlp_core::instance::{MlInstance, Request};
 use wmlp_core::wire::{request_frame, ErrorCode, Frame};
-use wmlp_serve::server::{start, IoMode, ServeConfig};
+use wmlp_serve::server::{start, ServeConfig};
 use wmlp_serve::{default_instance, replay_manifest};
 
 struct Client {
@@ -55,26 +51,10 @@ fn serve_cfg(shards: usize) -> ServeConfig {
     }
 }
 
-fn serve_cfg_io(shards: usize, io_mode: IoMode) -> ServeConfig {
-    ServeConfig {
-        io_mode,
-        ..serve_cfg(shards)
-    }
-}
-
 #[test]
 fn sharded_server_serves_gets_puts_stats_and_shuts_down() {
-    sharded_server_case(IoMode::Threads);
-}
-
-#[test]
-fn sharded_server_epoll_mode_behaves_identically() {
-    sharded_server_case(IoMode::Epoll);
-}
-
-fn sharded_server_case(io_mode: IoMode) {
     let inst = Arc::new(default_instance(256, 3, 32, 7).unwrap());
-    let handle = start(Arc::clone(&inst), &serve_cfg_io(4, io_mode)).unwrap();
+    let handle = start(Arc::clone(&inst), &serve_cfg(4)).unwrap();
     let mut client = Client::connect(handle.addr());
 
     let mut served = 0u64;
@@ -139,18 +119,6 @@ fn sharded_server_case(io_mode: IoMode) {
 /// request order, and must match what a closed-loop client sees.
 #[test]
 fn pipelined_requests_get_in_order_replies_matching_closed_loop() {
-    pipelined_case(IoMode::Threads);
-}
-
-/// The differential check across planes: the closed-loop reference runs
-/// on the thread plane, the pipelined run on the event-driven one; the
-/// reply sequences must be identical frame for frame.
-#[test]
-fn pipelined_epoll_replies_match_thread_plane_reference() {
-    pipelined_case(IoMode::Epoll);
-}
-
-fn pipelined_case(io_mode: IoMode) {
     let inst = Arc::new(default_instance(256, 3, 32, 7).unwrap());
     let reqs: Vec<Request> = (0..200u32)
         .map(|i| {
@@ -172,7 +140,7 @@ fn pipelined_case(io_mode: IoMode) {
     // Pipelined run: write everything, reader thread collects replies
     // concurrently (the bounded in-flight window would otherwise
     // deadlock a writer that never drains responses).
-    let handle = start(Arc::clone(&inst), &serve_cfg_io(4, io_mode)).unwrap();
+    let handle = start(Arc::clone(&inst), &serve_cfg(4)).unwrap();
     let stream = TcpStream::connect(handle.addr()).unwrap();
     let read_half = stream.try_clone().unwrap();
     let n = reqs.len();
@@ -217,17 +185,8 @@ fn pipelined_case(io_mode: IoMode) {
 
 #[test]
 fn corrupt_bytes_get_an_error_then_disconnect() {
-    corrupt_bytes_case(IoMode::Threads);
-}
-
-#[test]
-fn corrupt_bytes_epoll_mode_errors_then_disconnects() {
-    corrupt_bytes_case(IoMode::Epoll);
-}
-
-fn corrupt_bytes_case(io_mode: IoMode) {
     let inst = Arc::new(default_instance(64, 2, 8, 7).unwrap());
-    let handle = start(inst, &serve_cfg_io(1, io_mode)).unwrap();
+    let handle = start(inst, &serve_cfg(1)).unwrap();
     let stream = TcpStream::connect(handle.addr()).unwrap();
     let mut writer = stream.try_clone().unwrap();
     writer.write_all(b"GET / HTTP/1.1\r\n").unwrap(); // wrong protocol
@@ -244,17 +203,8 @@ fn corrupt_bytes_case(io_mode: IoMode) {
 
 #[test]
 fn requests_after_shutdown_are_refused_but_drained_work_completes() {
-    shutdown_refusal_case(IoMode::Threads);
-}
-
-#[test]
-fn requests_after_shutdown_epoll_mode_refused_but_drained() {
-    shutdown_refusal_case(IoMode::Epoll);
-}
-
-fn shutdown_refusal_case(io_mode: IoMode) {
     let inst = Arc::new(default_instance(64, 2, 8, 7).unwrap());
-    let handle = start(inst, &serve_cfg_io(2, io_mode)).unwrap();
+    let handle = start(inst, &serve_cfg(2)).unwrap();
     let mut a = Client::connect(handle.addr());
     let mut b = Client::connect(handle.addr());
     assert!(matches!(
@@ -325,12 +275,12 @@ fn replay_binary_is_byte_identical_across_runs_and_shard_counts() {
         run("8", &[]),
         "shard count leaked into replay output"
     );
-    // The connection plane cannot leak into replay output either: replay
-    // is a single canonical engine, io mode or not.
+    // Connection-plane flags cannot leak into replay output either:
+    // replay is a single canonical engine.
     assert_eq!(
         first,
-        run("8", &["--io-mode", "epoll"]),
-        "io mode leaked into replay output"
+        run("8", &["--io-mode", "epoll", "--io-threads", "4"]),
+        "connection-plane flags leaked into replay output"
     );
 
     // A pinned partition plan (--plan-shards, not --shards, names the
@@ -369,6 +319,18 @@ fn replay_binary_is_byte_identical_across_runs_and_shard_counts() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+/// `--io-mode` names the one connection plane; any other value is a
+/// usage error (exit 2), not a silent fallback.
+#[test]
+fn connection_plane_flag_accepts_only_epoll() {
+    let out = std::process::Command::new(env!("CARGO_BIN_EXE_wmlp-serve"))
+        .args(["--io-mode", "threads", "--addr", "127.0.0.1:0"])
+        .output()
+        .expect("run wmlp-serve");
+    assert_eq!(out.status.code(), Some(2));
+    assert!(String::from_utf8_lossy(&out.stderr).contains("--io-mode threads"));
+}
+
 /// The tiered on-disk store across server lifetimes: a value PUT before
 /// a graceful shutdown reads back byte-identical after a warm restart
 /// (warm tier rebuilt from the segment logs) and after a cold restart
@@ -404,17 +366,9 @@ fn on_disk_store_survives_restart_warm_and_cold() {
     assert!(matches!(client.roundtrip(&Frame::Shutdown), Frame::Bye));
     handle.join();
 
-    // Warm restart — on the event-driven plane, so the store round-trips
-    // across io modes too: the warm tier is rebuilt from the segment
-    // logs and the value still reads back byte-identical.
-    let handle = start(
-        Arc::clone(&inst),
-        &ServeConfig {
-            io_mode: IoMode::Epoll,
-            ..cfg_with(RecoverMode::Warm)
-        },
-    )
-    .unwrap();
+    // Warm restart: the warm tier is rebuilt from the segment logs and
+    // the value still reads back byte-identical.
+    let handle = start(Arc::clone(&inst), &cfg_with(RecoverMode::Warm)).unwrap();
     assert!(handle.warm_recovered() > 0, "warm tier must be rebuilt");
     let mut client = Client::connect(handle.addr());
     match client.roundtrip(&request_frame(Request::new(17, 2), b"")) {
@@ -445,8 +399,7 @@ fn on_disk_store_survives_restart_warm_and_cold() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
-/// The event-driven plane under fan-in: far more connections than event
-/// loops (or than the thread plane would want to carry), all pipelining
+/// Fan-in: far more connections than event loops, all pipelining
 /// concurrently from a single client thread. Every connection must get
 /// its own replies, in its own request order.
 #[test]
@@ -456,7 +409,7 @@ fn epoll_plane_serves_many_concurrent_pipelined_connections() {
     let inst = Arc::new(default_instance(256, 3, 32, 7).unwrap());
     let cfg = ServeConfig {
         io_threads: 2,
-        ..serve_cfg_io(4, IoMode::Epoll)
+        ..serve_cfg(4)
     };
     let handle = start(Arc::clone(&inst), &cfg).unwrap();
 
@@ -505,4 +458,88 @@ fn epoll_plane_serves_many_concurrent_pipelined_connections() {
     drop(streams);
     let stats = handle.join();
     assert!(stats.requests >= (CONNS * PER_CONN) as u64);
+}
+
+/// The counters of the `--replay` manifest for `trace`: requests, hits,
+/// fetches, evictions, and cost.
+fn replay_counters(inst: &Arc<MlInstance>, trace: &[Request], policy: &str, seed: u64) -> [u64; 5] {
+    let json = replay_manifest(Arc::clone(inst), trace.to_vec(), policy, seed).unwrap();
+    let doc = serde::json::parse(&json).unwrap();
+    let run = &doc.field("runs").unwrap().as_array().unwrap()[0];
+    let counters = run.field("counters").unwrap();
+    let num = |v: &serde::Value| match v {
+        serde::Value::I64(x) => u64::try_from(*x).unwrap(),
+        serde::Value::U64(x) => *x,
+        other => panic!("expected a counter, got {other:?}"),
+    };
+    [
+        num(counters.field("requests").unwrap()),
+        num(counters.field("hits").unwrap()),
+        num(counters.field("fetches").unwrap()),
+        num(counters.field("evictions").unwrap()),
+        num(run.field("cost").unwrap()),
+    ]
+}
+
+/// The live server against its single-engine reference: one shard
+/// served over one pipelined connection sees the trace in trace order,
+/// so its final STATS must equal the `--replay` manifest's counters and
+/// cost exactly, for every policy.
+#[test]
+fn one_shard_pipelined_server_matches_the_replay_manifest() {
+    let inst = Arc::new(default_instance(256, 3, 32, 7).unwrap());
+    let trace =
+        wmlp_workloads::zipf_trace(&inst, 1.1, 2_000, wmlp_workloads::LevelDist::Uniform, 21);
+    for policy in ["lru", "landlord"] {
+        let expected = replay_counters(&inst, &trace, policy, 5);
+        assert!(
+            expected[1] > 0 && expected[3] > 0,
+            "the trace must hit and evict"
+        );
+        let cfg = ServeConfig {
+            policy: policy.into(),
+            ..serve_cfg(1)
+        };
+        let handle = start(Arc::clone(&inst), &cfg).unwrap();
+        let stream = TcpStream::connect(handle.addr()).unwrap();
+        let read_half = stream.try_clone().unwrap();
+        let n = trace.len();
+        let reader = std::thread::spawn(move || {
+            let mut reader = FrameReader::new(read_half);
+            for _ in 0..n {
+                match reader.next_frame().expect("read").expect("reply") {
+                    Frame::Served { .. } => {}
+                    other => panic!("unexpected reply {other:?}"),
+                }
+            }
+            reader
+        });
+        let mut writer = BufWriter::new(stream);
+        for &r in &trace {
+            write_frame(&mut writer, &request_frame(r, b"v")).unwrap();
+        }
+        writer.flush().unwrap();
+        let mut reader = reader.join().unwrap();
+        write_frame(&mut writer, &Frame::Stats).unwrap();
+        writer.flush().unwrap();
+        let stats = match reader.next_frame().unwrap().unwrap() {
+            Frame::StatsReply(stats) => stats.total,
+            other => panic!("unexpected reply {other:?}"),
+        };
+        assert_eq!(
+            [
+                stats.requests,
+                stats.hits,
+                stats.fetches,
+                stats.evictions,
+                stats.cost
+            ],
+            expected,
+            "{policy}: live STATS vs replay"
+        );
+        write_frame(&mut writer, &Frame::Shutdown).unwrap();
+        writer.flush().unwrap();
+        assert!(matches!(reader.next_frame().unwrap().unwrap(), Frame::Bye));
+        handle.join();
+    }
 }
