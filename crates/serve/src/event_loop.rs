@@ -10,12 +10,15 @@
 //!   [`Conn::recv_space`] until `EAGAIN`, decoding every complete frame.
 //!   Each decoded frame takes the connection's next sequence number;
 //!   STATS, SHUTDOWN and errors are answered inline, while requests pass
-//!   validity and shutdown checks and are routed with [`ReplyTo::Sink`]
-//!   pointing back at this loop.
+//!   validity and shutdown checks and are routed under the shared
+//!   [`Router`] lock with [`ReplyTo::Sink`] pointing back at this loop.
 //! * **Backpressure** is readiness-driven: a connection at
 //!   `max_inflight` outstanding requests (or with ≥ 1 MiB of unflushed
 //!   output) is neither decoded further nor read, and drops read
-//!   interest; replies draining re-arm it. No thread ever blocks.
+//!   interest; replies draining re-arm it.
+//! * **Blocking** happens only in [`Router::dispatch`], while a shard ring
+//!   is full or a plan-change drain is in progress. Shards never wait on
+//!   loops (completions are non-blocking pushes): it cannot deadlock.
 //! * **Writes** go through the per-connection [`Reorder`] buffer into
 //!   [`Conn`]'s outbound buffer, flushed with `EAGAIN`-aware partial
 //!   writes; write interest is registered only while bytes are pending
@@ -29,8 +32,8 @@
 //! drops the listener, half-closes its sockets (reads drain to EOF,
 //! in-flight work completes and is written back), refuses connections
 //! handed to it afterwards, and exits once its last connection drains.
-//! Dropping the loops' `route_tx` clones then cascades the router → ring
-//! → shard teardown.
+//! The last loop to exit drops the shared [`Router`], which closes the
+//! shard rings; the shards drain what is queued and exit.
 
 // lint:orderings(SeqCst): the only atomic touched here is the server's
 // one-shot shutdown latch, shared with `server.rs`, which declares the
@@ -41,7 +44,7 @@ use std::collections::BTreeMap;
 use std::io::{self, Read, Write};
 use std::net::{Shutdown, TcpListener, TcpStream};
 use std::os::unix::io::AsRawFd;
-use std::sync::{mpsc, Arc};
+use std::sync::Arc;
 
 use wmlp_check::sync::atomic::Ordering;
 use wmlp_check::sync::{Mutex, MutexGuard};
@@ -52,7 +55,7 @@ use wmlp_core::wire::{ErrorCode, Frame};
 
 use crate::notify::{CompletionQueue, Doorbell};
 use crate::reorder::Reorder;
-use crate::server::Inner;
+use crate::server::{Inner, Router};
 use crate::shard::{CompletionSink, ReplyTo, ShardJob, ShardStats};
 
 /// Reactor token of the listener (loop 0 only).
@@ -109,8 +112,9 @@ impl CompletionSink for LoopShared {
     }
 }
 
-fn lock_incoming(shared: &LoopShared) -> MutexGuard<'_, Vec<(u64, TcpStream)>> {
-    match shared.incoming.lock() {
+/// Lock `m`, recovering the data if a panicking holder poisoned it.
+fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
+    match m.lock() {
         Ok(g) => g,
         Err(poisoned) => poisoned.into_inner(),
     }
@@ -129,8 +133,8 @@ struct ConnState {
     pending: Reorder<Frame>,
     /// Interest currently registered with the reactor.
     interest: Interest,
-    /// No more requests will be read (EOF, protocol error, shutdown, or
-    /// router teardown); the connection drains and closes.
+    /// No more requests will be read (EOF, protocol error, or shutdown);
+    /// the connection drains and closes.
     read_closed: bool,
     /// The socket is unusable (write error); close without draining.
     dead: bool,
@@ -161,7 +165,7 @@ pub(crate) fn run_io_loop(
     reactor: Reactor,
     peers: Arc<Vec<Arc<LoopShared>>>,
     mut listener: Option<TcpListener>,
-    route_tx: mpsc::Sender<ShardJob>,
+    router: Arc<Mutex<Router>>,
 ) {
     let shared = Arc::clone(&peers[me]);
     if reactor
@@ -228,7 +232,7 @@ pub(crate) fn run_io_loop(
         if bell_ready {
             adopted.clear();
             {
-                let mut inc = lock_incoming(&shared);
+                let mut inc = lock(&shared.incoming);
                 std::mem::swap(&mut *inc, &mut adopted);
             }
             for (id, stream) in adopted.drain(..) {
@@ -262,7 +266,7 @@ pub(crate) fn run_io_loop(
                 flush_conn(cs);
             }
             if readable {
-                service_read(&inner, &route_tx, &shared, id, cs);
+                service_read(&inner, &router, &shared, id, cs);
             }
             touched.push(id);
         }
@@ -280,7 +284,7 @@ pub(crate) fn run_io_loop(
                 // Replies draining may have unblocked frames already
                 // buffered inbound; the socket read below is non-blocking
                 // and harmless when there is nothing new.
-                service_read(&inner, &route_tx, &shared, id, cs);
+                service_read(&inner, &router, &shared, id, cs);
                 flush_conn(cs);
             }
             let gone = cs.dead || (cs.read_closed && cs.inflight == 0 && !cs.conn.wants_write());
@@ -299,7 +303,7 @@ pub(crate) fn run_io_loop(
     for id in leftover {
         close_conn(&reactor, &mut conns, id);
     }
-    for (_, stream) in lock_incoming(&shared).drain(..) {
+    for (_, stream) in lock(&shared.incoming).drain(..) {
         let _ = stream.shutdown(Shutdown::Both);
     }
 }
@@ -332,7 +336,7 @@ fn accept_new(
                     adopt_conn(inner, reactor, conns, false, id, stream);
                 } else {
                     {
-                        let mut inc = lock_incoming(&peers[target]);
+                        let mut inc = lock(&peers[target].incoming);
                         inc.push((id, stream));
                     }
                     let _ = peers[target].bell.ring();
@@ -375,7 +379,7 @@ fn adopt_conn(
 /// socket read, so frames buffered before an EOF are still served.
 fn service_read(
     inner: &Arc<Inner>,
-    route_tx: &mpsc::Sender<ShardJob>,
+    router: &Mutex<Router>,
     shared: &Arc<LoopShared>,
     id: u64,
     cs: &mut ConnState,
@@ -383,7 +387,7 @@ fn service_read(
     loop {
         while !cs.read_closed && cs.inflight < inner.max_inflight {
             match cs.conn.next_frame() {
-                Ok(Some(frame)) => process_frame(inner, route_tx, shared, id, cs, frame),
+                Ok(Some(frame)) => process_frame(inner, router, shared, id, cs, frame),
                 Ok(None) => break,
                 Err(e) => {
                     // Protocol violation (corrupt framing or version
@@ -436,7 +440,7 @@ fn service_read(
 /// arrived; requests are validated and routed to the shards.
 fn process_frame(
     inner: &Arc<Inner>,
-    route_tx: &mpsc::Sender<ShardJob>,
+    router: &Mutex<Router>,
     shared: &Arc<LoopShared>,
     id: u64,
     cs: &mut ConnState,
@@ -509,8 +513,8 @@ fn process_frame(
                 conn: id,
             },
         };
-        if route_tx.send(job).is_err() {
-            // Router gone: the server is tearing down abnormally and the
+        if lock(router).dispatch(job).is_err() {
+            // A shard died: the server is tearing down abnormally and the
             // reply for this slot can never arrive; drop the connection
             // rather than strand its reorder buffer.
             cs.dead = true;
@@ -576,32 +580,59 @@ fn close_conn(reactor: &Reactor, conns: &mut BTreeMap<u64, ConnState>, id: u64) 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::shard::ShardMsg;
+    use crate::spsc;
     use wmlp_check::sync::atomic::AtomicBool;
     use wmlp_core::instance::MlInstance;
     use wmlp_core::wire::encode;
+    use wmlp_router::{PartitionSpec, Partitioner};
 
     /// The read gate, driven step by step on one loop's state: with
     /// `max_inflight = 2` and five requests already buffered, a read pass
     /// routes exactly two and drops read interest; a completion frees a
     /// slot only once its reply can leave in order, and each freed slot
-    /// lets exactly one more buffered request through.
+    /// lets exactly one more buffered request through. Requests are
+    /// routed through a real [`Router`] into one roomy shard ring, and the
+    /// shard's queue gauge says how many jobs to take off it.
     #[test]
     fn read_gate_routes_at_most_max_inflight_per_connection() {
         let inst = MlInstance::from_rows(2, (0..8).map(|p| vec![10 + p as u64]).collect())
             .expect("instance");
+        let stats: Arc<ShardStats> = Arc::default();
         let inner = Arc::new(Inner {
             addr: "127.0.0.1:0".parse().expect("addr"),
             inst: Arc::new(inst),
             max_inflight: 2,
             shutdown: AtomicBool::new(false),
-            stats: vec![Arc::default()],
+            stats: vec![Arc::clone(&stats)],
             warm_recovered: 0,
             bells: Vec::new(),
         });
         let shared = LoopShared::new().expect("loop state");
         let reactor = Reactor::new().expect("reactor");
-        let (route_tx, route_rx) = mpsc::channel::<ShardJob>();
-        let routed = || -> Vec<u64> { route_rx.try_iter().map(|job| job.seq).collect() };
+        let (ring, rx) = spsc::channel::<ShardMsg>(16);
+        let router = Mutex::new(Router::new(
+            Partitioner::new(PartitionSpec::hash(1)),
+            vec![ring],
+            vec![Arc::clone(&stats)],
+        ));
+        // Take every job the router has queued, playing the shard.
+        let routed = || -> Vec<u64> {
+            let queued = stats.load().queue_depth as usize;
+            let mut msgs = Vec::new();
+            if queued > 0 {
+                assert_eq!(rx.recv_batch(&mut msgs, queued), queued);
+            }
+            msgs.into_iter()
+                .map(|msg| match msg {
+                    ShardMsg::Job(job) => {
+                        stats.note_done();
+                        job.seq
+                    }
+                    ShardMsg::Drain(_) => panic!("hash routing never drains"),
+                })
+                .collect()
+        };
 
         // A real but idle socket: the requests go straight into the
         // connection's inbound buffer, so socket reads only see EAGAIN.
@@ -619,7 +650,7 @@ mod tests {
         }
         cs.conn.recv_bytes(&bytes);
         let pass = |cs: &mut ConnState| {
-            service_read(&inner, &route_tx, &shared, FIRST_CONN_ID, cs);
+            service_read(&inner, &router, &shared, FIRST_CONN_ID, cs);
             assert!(rearm(&reactor, inner.max_inflight, FIRST_CONN_ID, cs));
         };
         let served = || Frame::Served {

@@ -14,10 +14,11 @@
 //!   lock-free stat counters.
 //! * [`reorder`] — the sequence-order reorder buffer each connection's
 //!   shard replies drain through.
-//! * [`server`] — the skew-aware router (a `wmlp-router`
+//! * [`server`] — the skew-aware [`server::Router`] (a `wmlp-router`
 //!   [`wmlp_router::Partitioner`] deciding hash / replicate / migrate
-//!   placement per request), graceful shutdown with in-flight draining,
-//!   and the [`server::ServerHandle`] lifecycle.
+//!   placement per request, shared by the event loops under one lock),
+//!   graceful shutdown with in-flight draining, and the
+//!   [`server::ServerHandle`] lifecycle.
 //! * [`notify`] — the publish-then-ring completion handshake between
 //!   shard workers and event loops.
 //! * `event_loop` (crate-private) — the connection plane: epoll reactor

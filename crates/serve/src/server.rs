@@ -1,22 +1,18 @@
 //! The TCP server: router, shard workers, event loops, and lifecycle.
 //!
 //! Thread topology (plain threads, no async runtime; every thread is
-//! named via `wmlp_check::thread::spawn_named` — `io-{i}`, `router`,
-//! `shard-{i}` — so panics and `/proc` identify the actor, and all
-//! synchronisation goes through the `wmlp_check` shim so the same code
-//! runs under the model checker):
+//! named via `wmlp_check::thread::spawn_named` — `io-{i}`, `shard-{i}` —
+//! so panics and `/proc` identify the actor, and all synchronisation
+//! goes through the `wmlp_check` shim so the same code runs under the
+//! model checker):
 //!
 //! ```text
 //! io-0 … io-{N-1}  event loops owning every client socket (loop 0 also
-//!                  │  owns the listener); ShardJob (global page ids)
-//!                  │  over a shared mpsc
-//!                  ▼
-//!               router (owns the Partitioner)
-//!                  │  consults the partition plan per job
-//!                  ├──SPSC ring per shard──▶ shard workers
-//!                  ▲                                │
-//!                  └── per-loop completion queue ◀──┘
-//!                      + eventfd doorbell
+//!   │      ▲       owns the listener)
+//!   │      └──── per-loop completion queue + eventfd doorbell ◀──┐
+//!   ▼  ShardJob (global page ids), routed under one lock         │
+//! Router (owns the Partitioner and every ring's sending end)     │
+//!   └──SPSC ring per shard──▶ shard-0 … shard-{S-1} ─────────────┘
 //! ```
 //!
 //! Connections are *pipelined*: a loop decodes and routes frames
@@ -26,30 +22,31 @@
 //! socket round-trip is amortized away. A bounded in-flight window
 //! ([`ServeConfig::max_inflight`]) stops reading from a connection at the
 //! cap, so a client that never drains responses cannot pin unbounded
-//! server memory (see [`crate::event_loop`]). The router is
-//! the *single* producer into every shard ring, which is what lets the
-//! rings be true SPSC with blocking backpressure, and shards drain a
-//! batch of jobs per ring wakeup into [`wmlp_sim::engine::
-//! SimSession::step_batch`].
+//! server memory (see [`crate::event_loop`]). Loops take turns at the
+//! one [`Router`], so the rings are SPSC with blocking backpressure, and
+//! shards drain a batch of jobs per ring wakeup into
+//! [`wmlp_sim::engine::SimSession::step_batch`].
 //!
-//! The router owns the skew-aware [`Partitioner`] (`wmlp-router`): under
-//! `--partition replicate|migrate` it feeds every routed page to the
-//! hot-key detector, and at epoch boundaries (counted in routed
+//! The [`Router`] owns the skew-aware [`Partitioner`] (`wmlp-router`):
+//! under `--partition replicate|migrate` it feeds every routed page to
+//! the hot-key detector, and at epoch boundaries (counted in routed
 //! requests, never wall time) recomputes per-key overrides. When the
-//! override set changes, the router pushes a [`ShardMsg::Drain`] marker
-//! down every ring and blocks on a [`DrainGate`] until all shards have
-//! served everything routed under the old plan — so a key's requests
-//! are never reordered by a re-homing. Replicated PUTs fan out to every
-//! shard through a [`FanoutAck`] that forwards the home shard's reply
-//! only after the last replica has written.
+//! override set changes, the routing loop pushes a [`ShardMsg::Drain`]
+//! marker down every ring and blocks (holding the router lock) on a
+//! [`DrainGate`] until all shards have served everything routed under
+//! the old plan — so a key's requests are never reordered by a
+//! re-homing. Replicated PUTs fan out to every shard through a
+//! [`FanoutAck`] that forwards the home shard's reply only after the
+//! last replica has written.
 //!
 //! Graceful shutdown (a SHUTDOWN frame or [`ServerHandle::shutdown`])
 //! sets a flag and rings every loop's doorbell; each loop then drops the
 //! listener, half-closes its client sockets so reads drain to EOF, and
 //! refuses connections accepted after the flag. Requests already queued
-//! in shard rings are still served and answered — the rings drain before
-//! the workers exit — while requests arriving after the flag are refused
-//! with [`ErrorCode::ShuttingDown`](wmlp_core::wire::ErrorCode).
+//! in shard rings are still served and answered — the last loop to exit
+//! drops the router, closing the rings, which drain before the workers
+//! exit — while requests arriving after the flag are refused with
+//! [`ErrorCode::ShuttingDown`](wmlp_core::wire::ErrorCode).
 
 // lint:orderings(SeqCst): the shutdown latch is a one-shot flag read by
 // every event loop and the SHUTDOWN handler; it is
@@ -57,10 +54,11 @@
 // strongest ordering is the cheapest correct choice to reason about.
 
 use std::net::{SocketAddr, TcpListener};
-use std::sync::{mpsc, Arc};
+use std::sync::Arc;
 
 use wmlp_algos::PolicyRegistry;
 use wmlp_check::sync::atomic::{AtomicBool, Ordering};
+use wmlp_check::sync::Mutex;
 use wmlp_check::thread::{spawn_named, JoinHandle};
 use wmlp_core::instance::MlInstance;
 use wmlp_core::net::{EventFd, Reactor};
@@ -83,7 +81,7 @@ pub struct ServeConfig {
     pub addr: String,
     /// Number of shard workers (≥ 1).
     pub shards: usize,
-    /// Per-shard ring capacity; a full ring back-pressures the router.
+    /// Per-shard ring capacity; a full ring blocks routing into it.
     pub queue_depth: usize,
     /// Policy spec, in [`PolicyRegistry`] syntax (e.g.
     /// `"landlord(eta=0.5)"`).
@@ -230,7 +228,6 @@ pub struct ServerHandle {
     /// The event loops: they own every client socket, and their exit
     /// means all connections have drained.
     io: Vec<JoinHandle<()>>,
-    router: Option<JoinHandle<()>>,
     shards: Vec<JoinHandle<()>>,
 }
 
@@ -261,13 +258,10 @@ impl ServerHandle {
     /// stats after every shard has drained.
     pub fn join(mut self) -> WireStats {
         // An event loop exits only once its last connection has drained,
-        // and the loops' exit drops the last router sender; the router
-        // then exits, closing the shard rings; the shards drain and exit.
-        // This ordering is what guarantees in-flight requests are served.
+        // and the last loop's exit drops the router, closing the shard
+        // rings; the shards drain and exit. This ordering is what
+        // guarantees in-flight requests are served.
         for h in self.io.drain(..) {
-            let _ = h.join();
-        }
-        if let Some(h) = self.router.take() {
             let _ = h.join();
         }
         for h in self.shards.drain(..) {
@@ -376,21 +370,13 @@ pub fn start(inst: Arc<MlInstance>, cfg: &ServeConfig) -> Result<ServerHandle, S
         }));
     }
 
-    // Router: sole producer into every ring; owns the partitioner.
-    let (route_tx, route_rx) = mpsc::channel::<ShardJob>();
-    let router = {
-        let stats = inner.stats.clone();
-        spawn_named("router", move || {
-            let mut partitioner = Partitioner::new(partition_spec);
-            run_router(&mut partitioner, &route_rx, &rings, &stats);
-            // Dropping `rings` here closes the shard rings; workers drain
-            // whatever is queued and exit.
-        })
-    };
-
-    // The event loops hold every clone of `route_tx`, so their collective
-    // exit closes the router's channel only once all in-flight requests
-    // are routed.
+    // The event loops hold every reference to the router: the last to
+    // exit drops it, closing the shard rings once all requests are routed.
+    let router = Arc::new(Mutex::new(Router::new(
+        Partitioner::new(partition_spec),
+        rings,
+        inner.stats.clone(),
+    )));
     let peers = Arc::new(io_shareds);
     let mut listener = Some(listener); // loop 0 owns it
     let io_handles: Vec<JoinHandle<()>> = reactors
@@ -399,100 +385,215 @@ pub fn start(inst: Arc<MlInstance>, cfg: &ServeConfig) -> Result<ServerHandle, S
         .map(|(i, reactor)| {
             let inner = Arc::clone(&inner);
             let peers = Arc::clone(&peers);
-            let route_tx = route_tx.clone();
+            let router = Arc::clone(&router);
             let listener = listener.take();
             spawn_named(format!("io-{i}"), move || {
-                run_io_loop(inner, i, reactor, peers, listener, route_tx);
+                run_io_loop(inner, i, reactor, peers, listener, router);
             })
         })
         .collect();
-    drop(route_tx);
 
     Ok(ServerHandle {
         inner,
         io: io_handles,
-        router: Some(router),
         shards: shard_handles,
     })
 }
 
-/// The router loop: consult the partition plan per job, enqueue on the
-/// chosen ring(s), and run the epoch drain handshake whenever the plan's
-/// override set changes.
-///
-/// Exposed to the crate's model tests, which drive it (and [`run_shard`])
-/// as virtual threads under the `wmlp-check` scheduler.
-pub(crate) fn run_router(
-    partitioner: &mut Partitioner,
-    route_rx: &mpsc::Receiver<ShardJob>,
-    rings: &[spsc::Sender<ShardMsg>],
-    stats: &[Arc<ShardStats>],
-) {
-    while let Ok(job) = route_rx.recv() {
-        if partitioner.epoch_due() && partitioner.advance_epoch().changed {
-            // The new plan may re-home keys. Quiesce every ring before
-            // routing anything under it: the drain markers sit behind
-            // all old-plan jobs (rings are FIFO), so the gate opening
-            // means no shard still holds old-plan work.
-            let gate = DrainGate::new(rings.len());
+/// A shard ring was found closed: a shard worker died.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct ShardGone;
+
+/// The skew-aware [`Partitioner`] plus every shard ring's sending end
+/// and queue gauge. The event loops route under one lock around it, so
+/// routing is one total order and each ring has one producer at a time.
+/// Dropping the router closes the shard rings.
+pub struct Router {
+    partitioner: Partitioner,
+    rings: Vec<spsc::Sender<ShardMsg>>,
+    stats: Vec<Arc<ShardStats>>,
+}
+
+impl Router {
+    /// A router feeding `rings`, with `stats[s]` the gauge of ring `s`.
+    pub fn new(
+        partitioner: Partitioner,
+        rings: Vec<spsc::Sender<ShardMsg>>,
+        stats: Vec<Arc<ShardStats>>,
+    ) -> Router {
+        Router {
+            partitioner,
+            rings,
+            stats,
+        }
+    }
+
+    /// Enqueue `job` on the ring(s) the plan picks, first draining every
+    /// ring if the plan's override set is about to change. Blocks while a
+    /// chosen ring is full or a drain is in progress. A closed ring is
+    /// fatal: every ring is closed (the shards drain and exit) and this
+    /// and every later call fail. Queue gauges stay balanced either way.
+    pub fn dispatch(&mut self, job: ShardJob) -> Result<(), ShardGone> {
+        if self.rings.is_empty() {
+            return Err(ShardGone);
+        }
+        if self.partitioner.epoch_due() && self.partitioner.advance_epoch().changed {
+            // The drain markers sit behind all old-plan jobs (rings are
+            // FIFO), so the gate opening means no shard still holds
+            // old-plan work and the new plan may re-home keys.
+            let gate = DrainGate::new(self.rings.len());
             let mut dead = false;
-            for ring in rings {
-                if ring.send(ShardMsg::Drain(gate.clone())).is_err() {
-                    dead = true;
-                }
+            for ring in &self.rings {
+                dead |= ring.send(ShardMsg::Drain(gate.clone())).is_err();
             }
             if dead {
-                // A shard died mid-teardown; its marker will never ack,
-                // so waiting would deadlock the drain.
-                return;
+                // A dead shard's marker never acks; waiting would hang.
+                self.rings.clear();
+                return Err(ShardGone);
             }
             gate.wait_zero();
         }
-        let is_put = job.put.is_some();
-        match partitioner.route(job.req.page, is_put) {
-            Route::One(shard) => {
-                stats[shard].note_enqueued();
-                if rings[shard].send(ShardMsg::Job(job)).is_err() {
-                    return; // shard died; nothing sensible left to do
-                }
-            }
-            Route::Fanout { home } => match job.reply {
-                reply @ ReplyTo::Sink { .. } => {
-                    // Replicated PUT: one copy per shard; the last
-                    // completion forwards the home shard's reply to the
-                    // owning event loop's completion queue.
-                    let ack = FanoutAck::new(rings.len(), job.seq, reply);
-                    for (shard, ring) in rings.iter().enumerate() {
-                        stats[shard].note_enqueued();
-                        let copy = ShardJob {
-                            req: job.req,
-                            put: job.put.clone(),
-                            seq: job.seq,
-                            reply: ReplyTo::Fanout {
-                                ack: Arc::clone(&ack),
-                                home: shard == home,
-                            },
-                        };
-                        if ring.send(ShardMsg::Job(copy)).is_err() {
-                            stats[shard].note_done();
-                            return;
-                        }
-                    }
-                }
-                // Already a fan-out reply (cannot happen for jobs from
-                // the event loops): serve single-copy at home rather
-                // than nest countdowns.
-                other => {
-                    stats[home].note_enqueued();
+        match self.partitioner.route(job.req.page, job.put.is_some()) {
+            Route::One(shard) => self.send(shard, job),
+            Route::Fanout { home } => {
+                // Replicated PUT: one copy per shard; the last completion
+                // forwards the home shard's reply to the owning event
+                // loop's completion queue.
+                let ack = FanoutAck::new(self.rings.len(), job.seq, job.reply);
+                for shard in 0..self.rings.len() {
                     let copy = ShardJob {
-                        reply: other,
-                        ..job
+                        req: job.req,
+                        put: job.put.clone(),
+                        seq: job.seq,
+                        reply: ReplyTo::Fanout {
+                            ack: Arc::clone(&ack),
+                            home: shard == home,
+                        },
                     };
-                    if rings[home].send(ShardMsg::Job(copy)).is_err() {
-                        return;
-                    }
+                    self.send(shard, copy)?;
                 }
+                Ok(())
+            }
+        }
+    }
+
+    /// Enqueue one job on `shard`'s ring, counting it in the gauge.
+    fn send(&mut self, shard: usize, job: ShardJob) -> Result<(), ShardGone> {
+        self.stats[shard].note_enqueued();
+        if self.rings[shard].send(ShardMsg::Job(job)).is_err() {
+            self.stats[shard].note_done();
+            self.rings.clear();
+            return Err(ShardGone);
+        }
+        Ok(())
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use wmlp_core::instance::Request;
+    use wmlp_core::wire::Frame;
+    use wmlp_router::Override;
+
+    type Replies = Arc<std::sync::Mutex<Vec<(u64, u64, Frame)>>>;
+
+    /// A job for `page` answered into `replies`; `put` makes it a PUT.
+    fn job(page: u32, seq: u64, put: bool, replies: &Replies) -> ShardJob {
+        ShardJob {
+            req: Request::top(page),
+            put: put.then(|| vec![7u8; 4]),
+            seq,
+            reply: ReplyTo::Sink {
+                sink: replies.clone(),
+                conn: 0,
             },
         }
+    }
+
+    /// A router over two rings with shard 1's receiver dropped; the
+    /// returned receiver stands in for shard 0.
+    fn router_with_dead_shard(
+        partitioner: Partitioner,
+    ) -> (Router, spsc::Receiver<ShardMsg>, Vec<Arc<ShardStats>>) {
+        let (tx0, rx0) = spsc::channel::<ShardMsg>(4);
+        let (tx1, _) = spsc::channel::<ShardMsg>(4);
+        let stats: Vec<Arc<ShardStats>> = vec![Arc::default(), Arc::default()];
+        let router = Router::new(partitioner, vec![tx0, tx1], stats.clone());
+        (router, rx0, stats)
+    }
+
+    /// Take the next job off a shard's ring and count it answered.
+    fn serve_one(rx: &spsc::Receiver<ShardMsg>, stats: &ShardStats) -> ShardJob {
+        match rx.recv() {
+            Some(ShardMsg::Job(job)) => {
+                stats.note_done();
+                job
+            }
+            _ => panic!("expected a queued job"),
+        }
+    }
+
+    /// A closed ring stops the router: the request routed to it fails with
+    /// its gauge balanced, every later request fails too, and the live
+    /// shard's ring is closed behind the job it already holds.
+    #[test]
+    fn dispatch_fails_stop_once_a_shard_ring_is_closed() {
+        let replies: Replies = Arc::default();
+        let (mut router, rx0, stats) =
+            router_with_dead_shard(Partitioner::new(PartitionSpec::hash(2)));
+        assert_eq!(router.dispatch(job(0, 0, false, &replies)), Ok(()));
+        assert_eq!(router.dispatch(job(1, 1, false, &replies)), Err(ShardGone));
+        assert_eq!(
+            stats[1].load().queue_depth,
+            0,
+            "the failed enqueue is undone"
+        );
+        assert_eq!(router.dispatch(job(0, 2, false, &replies)), Err(ShardGone));
+        assert_eq!(serve_one(&rx0, &stats[0]).seq, 0);
+        assert!(rx0.recv().is_none(), "the router closed the live ring");
+        assert_eq!(stats[0].load().queue_depth, 0);
+    }
+
+    /// A replicated PUT whose second copy meets a dead shard: the router
+    /// fails and stays failed, the dead shard's gauge is undone, and once
+    /// the live shard serves its copy every gauge is back at zero. The
+    /// countdown still waits for the lost copy, so no reply reaches the
+    /// client.
+    #[test]
+    fn fanout_to_a_dead_shard_leaves_every_queue_gauge_balanced() {
+        let mut partitioner = Partitioner::new(PartitionSpec {
+            sample_every: 1,
+            epoch_len: 2,
+            ..PartitionSpec::new(PartitionMode::Replicate, 2)
+        });
+        partitioner.route(0, false);
+        partitioner.route(0, false);
+        assert!(partitioner.epoch_due() && partitioner.advance_epoch().changed);
+        assert_eq!(
+            partitioner.plan().overrides.get(&0),
+            Some(&Override::Replicated)
+        );
+
+        let replies: Replies = Arc::default();
+        let (mut router, rx0, stats) = router_with_dead_shard(partitioner);
+        assert_eq!(router.dispatch(job(0, 0, true, &replies)), Err(ShardGone));
+        assert_eq!(stats[0].load().queue_depth, 1, "the home copy is queued");
+        assert_eq!(stats[1].load().queue_depth, 0, "the lost copy is undone");
+        assert_eq!(stats[1].load().queue_hwm, 1);
+        assert_eq!(router.dispatch(job(0, 1, false, &replies)), Err(ShardGone));
+
+        let copy = serve_one(&rx0, &stats[0]);
+        assert!(matches!(copy.reply, ReplyTo::Fanout { home: true, .. }));
+        copy.reply.deliver(copy.seq, Frame::Bye);
+        assert!(rx0.recv().is_none(), "the router closed the live ring");
+        for s in &stats {
+            assert_eq!(s.load().queue_depth, 0);
+        }
+        let delivered = match replies.lock() {
+            Ok(g) => g.len(),
+            Err(p) => p.into_inner().len(),
+        };
+        assert_eq!(delivered, 0, "the countdown never completes");
     }
 }

@@ -227,8 +227,7 @@ pub struct FanoutAck {
     remaining: AtomicUsize,
     seq: u64,
     /// Where the final (home) frame goes — the owning event loop's
-    /// completion queue. Never itself a [`ReplyTo::Fanout`]; the router
-    /// guards against nesting countdowns.
+    /// completion queue.
     reply: ReplyTo,
     /// The home shard's reply frame, parked until the countdown ends.
     home_frame: Mutex<Option<Frame>>,

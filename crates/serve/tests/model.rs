@@ -1,7 +1,7 @@
 //! Model-checked properties of the serving stack's concurrency primitives.
 //!
 //! Every test runs the *real* production code (`spsc`, `run_shard`,
-//! `CompletionQueue`) under the `wmlp-check` exhaustive interleaving
+//! `Router`, `CompletionQueue`) under the `wmlp-check` exhaustive interleaving
 //! explorer. The checked properties:
 //!
 //! 1. no lost wakeups   — every blocking handoff completes in every schedule
@@ -10,10 +10,12 @@
 //! 4. `recv_batch` ≡ sequential `recv` × n
 //! 5. shutdown never drops an accepted request (ring drain through the
 //!    real `run_shard` worker)
-//! 6. the migration drain handshake (router + two shard workers through
-//!    `DrainGate` markers) preserves per-key ordering in every schedule
-//!    and never deadlocks — and the seeded mutant that bumps the epoch
-//!    *without* draining is caught by the checker
+//! 6. two event loops routing through the real `Router` under its lock,
+//!    across an adopted plan change, with two real shard workers: the
+//!    drain handshake (`DrainGate` markers) keeps per-key reply order
+//!    equal to routing order in every schedule and never deadlocks —
+//!    and the seeded mutant that advances the epoch *without* draining
+//!    is caught by the checker
 //! 7. the event loops' eventfd wakeup handshake: the real
 //!    `CompletionQueue` over a model doorbell with eventfd *counting*
 //!    semantics loses no wakeup in any schedule, a completion racing a
@@ -40,8 +42,9 @@ use std::sync::Arc;
 use wmlp_check::sync::atomic::AtomicBool;
 use wmlp_check::sync::{Condvar, Mutex};
 use wmlp_check::{explore, Config};
-use wmlp_router::DrainGate;
+use wmlp_router::{PartitionMode, PartitionSpec, Partitioner, Route};
 use wmlp_serve::notify::{CompletionQueue, Doorbell};
+use wmlp_serve::server::Router;
 use wmlp_serve::shard::{run_shard, ReplyTo, ShardJob, ShardMsg, ShardStats};
 use wmlp_serve::spsc;
 
@@ -209,16 +212,80 @@ fn shutdown_never_drops_an_accepted_request() {
     assert!(!report.truncated);
 }
 
-/// The migration drain fixture: the main thread plays the router, two
-/// real `run_shard` workers play the shards, and page 0 is re-homed
-/// from shard 0 to shard 1 mid-stream. With `drain: true` the router
-/// runs the production handshake (a [`DrainGate`] marker down every
-/// ring, then `wait_zero`) before routing under the new plan; with
-/// `drain: false` it is the seeded mutant — epoch bump without drain —
-/// which can serve the re-homed request before the old-plan one.
+/// How a virtual event loop routes one job: the real [`Router`] or the
+/// seeded no-drain mutant.
+trait Dispatch: Send + 'static {
+    fn dispatch(&mut self, job: ShardJob);
+}
+
+impl Dispatch for Router {
+    fn dispatch(&mut self, job: ShardJob) {
+        assert!(Router::dispatch(self, job).is_ok(), "shards alive");
+    }
+}
+
+/// The seeded mutant: [`Router::dispatch`] with the plan-change drain
+/// left out — the epoch advances and the new plan routes at once.
+struct NoDrainRouter {
+    partitioner: Partitioner,
+    rings: Vec<spsc::Sender<ShardMsg>>,
+    stats: Vec<Arc<ShardStats>>,
+}
+
+impl Dispatch for NoDrainRouter {
+    fn dispatch(&mut self, job: ShardJob) {
+        if self.partitioner.epoch_due() {
+            self.partitioner.advance_epoch();
+        }
+        let Route::One(shard) = self.partitioner.route(job.req.page, false) else {
+            panic!("GETs never fan out");
+        };
+        self.stats[shard].note_enqueued();
+        assert!(self.rings[shard].send(ShardMsg::Job(job)).is_ok());
+    }
+}
+
+/// Sequence numbers in routing order; a std mutex, never held across a
+/// scheduling point.
+type Routed = Arc<std::sync::Mutex<Vec<u64>>>;
+
+/// One event loop routing one GET of the fixture's page under sequence
+/// number `seq`: dispatched under the router lock and logged in
+/// `routed` before the lock is released, so the log is the routing
+/// order.
+fn route_one<R: Dispatch>(router: &Mutex<R>, routed: &Routed, replies: &Replies, seq: u64) {
+    let mut r = match router.lock() {
+        Ok(g) => g,
+        Err(p) => p.into_inner(),
+    };
+    r.dispatch(ShardJob {
+        req: Request::top(1),
+        put: None,
+        seq,
+        reply: ReplyTo::Sink {
+            sink: replies.clone(),
+            conn: seq,
+        },
+    });
+    match routed.lock() {
+        Ok(mut g) => g.push(seq),
+        Err(p) => p.into_inner().push(seq),
+    }
+}
+
+/// The routing fixture: two event loops — the main thread and
+/// `loop-b` — each route one GET of page 1 through one shared router
+/// under its mutex, while two real `run_shard` workers serve. The
+/// replicate spec samples every request with a 1-request epoch, so the
+/// second GET to be routed always lands on an adopted plan change: the
+/// first went to page 1's hash home (shard 1), the change replicates the
+/// page, and the second is served round-robin by shard 0.
 ///
-/// Returns the reply arrival order observed for the two page-0 requests.
-fn migration_fixture(drain: bool) {
+/// Asserts that the replies arrive in routing order and that the plan
+/// change happened (each shard served one request).
+fn routing_fixture<R: Dispatch>(
+    router: impl FnOnce(Partitioner, Vec<spsc::Sender<ShardMsg>>, Vec<Arc<ShardStats>>) -> R,
+) {
     let inst =
         MlInstance::from_rows(2, (0..3).map(|p| vec![10 + p as u64]).collect()).expect("inst");
     let replies: Replies = Arc::default();
@@ -239,62 +306,69 @@ fn migration_fixture(drain: bool) {
             run_shard(&inst2, policy.as_mut(), rx, &st, 2, &mut store);
         }));
     }
-    let job = |seq: u64| {
-        ShardMsg::Job(ShardJob {
-            req: Request::top(0),
-            put: None,
-            seq,
-            reply: ReplyTo::Sink {
-                sink: replies.clone(),
-                conn: 0,
-            },
-        })
+    let spec = PartitionSpec {
+        sample_every: 1,
+        epoch_len: 1,
+        ..PartitionSpec::new(PartitionMode::Replicate, 2)
     };
-    // Old plan: page 0 lives on shard 0.
-    stats[0].note_enqueued();
-    assert!(rings[0].send(job(0)).is_ok());
-    if drain {
-        // Epoch boundary: quiesce both rings before the new plan routes.
-        let gate = DrainGate::new(2);
-        for ring in &rings {
-            assert!(ring.send(ShardMsg::Drain(gate.clone())).is_ok());
-        }
-        gate.wait_zero();
-    }
-    // New plan: page 0 re-homed to shard 1.
-    stats[1].note_enqueued();
-    assert!(rings[1].send(job(1)).is_ok());
-    drop(rings);
+    let router = Arc::new(Mutex::new(router(
+        Partitioner::new(spec),
+        rings,
+        stats.clone(),
+    )));
+    let routed: Routed = Arc::default();
+    let loop_b = {
+        let (router, routed, replies) = (router.clone(), routed.clone(), replies.clone());
+        spawn_named("loop-b", move || route_one(&router, &routed, &replies, 1))
+    };
+    route_one(&router, &routed, &replies, 0);
+    loop_b.join().expect("join loop-b");
+    drop(router); // the last reference: closes the rings
     for w in workers {
         w.join().expect("join shard worker");
     }
+    let routed = match routed.lock() {
+        Ok(g) => g.clone(),
+        Err(p) => p.into_inner().clone(),
+    };
     assert_eq!(
         delivered(&replies),
-        vec![0, 1],
-        "page 0's requests must complete in route order across the re-homing"
+        routed,
+        "page 1's replies must arrive in routing order across the plan change"
     );
+    for st in &stats {
+        assert_eq!(st.snapshot().requests, 1, "the plan change re-homed a GET");
+    }
 }
 
-/// Property 6 (correct protocol): with the drain handshake, per-key
-/// completion order matches route order in *every* schedule, and the
-/// handshake itself never loses a wakeup or deadlocks.
+/// Property 6 (correct protocol): two loops routing through the real
+/// [`Router`] across an adopted plan change — per-key reply order
+/// matches routing order in *every* schedule, and neither the router
+/// lock nor the drain handshake ever deadlocks.
 #[test]
-fn migration_drain_preserves_per_key_ordering() {
-    let report = explore(cfg(), || migration_fixture(true));
+fn router_drain_preserves_per_key_order_across_two_loops() {
+    let report = explore(cfg(), || routing_fixture(Router::new));
     assert!(report.failure.is_none(), "{}", report.failure.unwrap());
     assert!(!report.truncated, "fixture must be exhaustively explored");
 }
 
-/// Property 6 (seeded mutant): bumping the epoch *without* draining lets
-/// shard 1 answer the re-homed request before shard 0 answers the
+/// Property 6 (seeded mutant): advancing the epoch *without* draining
+/// lets shard 0 answer the re-homed GET before shard 1 answers the
 /// old-plan one — the checker must find that schedule.
 #[test]
-fn epoch_bump_without_drain_is_caught() {
-    let report = explore(cfg(), || migration_fixture(false));
+fn plan_change_without_drain_is_caught() {
+    let report = explore(cfg(), || {
+        routing_fixture(|partitioner, rings, stats| NoDrainRouter {
+            partitioner,
+            rings,
+            stats,
+        })
+    });
     assert!(
         report.failure.is_some(),
-        "the undrained mutant must reorder page 0 in some schedule"
+        "the undrained mutant must reorder page 1 in some schedule"
     );
+    assert!(!report.truncated, "fixture must be exhaustively explored");
 }
 
 /// A model doorbell with `eventfd` counting semantics: each ring bumps a
